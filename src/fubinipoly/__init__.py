@@ -4,7 +4,6 @@ verification suite that checks every identity relating them to Bernoulli
 numbers over a chosen range."""
 
 from .combinat import (
-    Triangle,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     bernoulli_poly,
@@ -17,7 +16,6 @@ from .combinat import (
 )
 from .exactpoly import Polynomial, Rational, format_rational, parse_rational
 from .fubini import (
-    LambdaTable,
     fubini_direct,
     fubini_rec,
     hfubini_direct,
@@ -40,7 +38,6 @@ from .verify import CHECK_IDS, CHECKS, IdentityCheck, IdentityReport, run_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Triangle",
     "bernoulli",
     "bernoulli_akiyama_tanigawa",
     "bernoulli_poly",
@@ -54,7 +51,6 @@ __all__ = [
     "Rational",
     "format_rational",
     "parse_rational",
-    "LambdaTable",
     "fubini_direct",
     "fubini_rec",
     "hfubini_direct",

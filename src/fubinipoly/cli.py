@@ -7,9 +7,9 @@ Three subcommands:
 * ``verify``: run registered identity checks; exit 0 only if all pass.
 * ``table``: triangles and sequences as plain text, JSON, or CSV.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error.  Rational values are always printed reduced, as ``p/q`` or a bare
-integer.
+Exit codes: 0 success / all checks pass, 1 verification failure (a check
+failed or evaluated no case), 2 usage error.  Rational values are always
+printed reduced, as ``p/q`` or a bare integer.
 """
 from __future__ import annotations
 
@@ -18,35 +18,50 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import combinat, fubini, verify
-from .exactpoly import Polynomial, format_rational, parse_rational
+from .exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
 
 SCHEMA_VERSION = 1
-
-_SCALAR_FAMILIES = ("stirling", "sf", "harmonic")
-_COMPUTE_FAMILIES = ("fubini", "hfubini", "lambda", "psi", "bernoulli",
-                     "stirling", "sf", "harmonic", "power-sum")
-_TABLE_FAMILIES = ("sf", "stirling", "lambda", "bernoulli")
 
 
 class UsageError(Exception):
     pass
 
 
-def _json_scalar(value):
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else format_rational(f)
+# compute: family -> (builder(n, nu), whether --nu is required, whether the
+# result is a polynomial that --at may evaluate).  Builders look the library
+# function up at call time, so a rebinding of the module attribute (a tracer,
+# a test double) is honoured.
+_COMPUTE_FAMILIES = {
+    "fubini": (lambda n, nu: fubini.fubini_direct(n), False, True),
+    "hfubini": (lambda n, nu: fubini.hfubini_direct(n), False, True),
+    "lambda": (lambda n, nu: fubini.lambda_poly(n, nu), True, True),
+    "psi": (lambda n, nu: fubini.psi_poly(n), False, True),
+    "bernoulli": (lambda n, nu: combinat.bernoulli_poly(n), False, True),
+    "stirling": (lambda n, nu: combinat.stirling2(n, nu), True, False),
+    "sf": (lambda n, nu: combinat.sf(n, nu), True, False),
+    "harmonic": (lambda n, nu: combinat.harmonic(n), False, False),
+    "power-sum": (lambda n, nu: fubini.power_sum_poly(n), False, True),
+}
 
 
-def _coeff_list_json(poly: Polynomial) -> list:
-    return [_json_scalar(c) for c in poly.coefficients]
+def _triangle_rows(value, max_n: int):
+    for n in range(max_n + 1):
+        for k in range(n + 1):
+            yield {"n": n, "k": k, "value": value(n, k)}
 
 
-def _coeff_list_plain(poly: Polynomial) -> str:
-    return "[" + ", ".join(format_rational(c) for c in poly.coefficients) + "]"
+# table: family -> rows(max_n), each row a dict of column -> exact value.
+_TABLE_FAMILIES = {
+    "sf": lambda max_n: _triangle_rows(combinat.sf, max_n),
+    "stirling": lambda max_n: _triangle_rows(combinat.stirling2, max_n),
+    "lambda": lambda max_n: ({"n": n, "nu": nu, "coefficients": fubini.lambda_poly(n, nu)}
+                             for n in range(1, max_n + 1) for nu in range(1, n + 1)),
+    "bernoulli": lambda max_n: ({"n": n, "value": combinat.bernoulli(n)}
+                                for n in range(max_n + 1)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "[c0, c1, ...] means c0 + c1*x + ...  "
                     "Rational arguments accept only p/q or integer literals.",
     )
-    p_compute.add_argument("family", choices=_COMPUTE_FAMILIES)
+    p_compute.add_argument("family", choices=tuple(_COMPUTE_FAMILIES))
     p_compute.add_argument("--n", type=int, required=True, help="main index n")
     p_compute.add_argument("--nu", type=int, default=None,
-                           help="second index (required for lambda, stirling, sf)")
+                           help="second index (required for "
+                                + ", ".join(f for f, (_, nu, _) in _COMPUTE_FAMILIES.items() if nu) + ")")
     p_compute.add_argument("--at", default=None, metavar="RATIONAL",
                            help="evaluate the polynomial at this exact point (p/q or integer)")
     p_compute.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -85,41 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list registered check ids and exit")
 
     p_table = sub.add_parser("table", help="emit a whole triangle or sequence")
-    p_table.add_argument("family", choices=_TABLE_FAMILIES)
+    p_table.add_argument("family", choices=tuple(_TABLE_FAMILIES))
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
     return parser
-
-
-def _compute_polynomial(family: str, n: int, nu: Optional[int]) -> Polynomial:
-    if family == "fubini":
-        return fubini.fubini_direct(n)
-    if family == "hfubini":
-        return fubini.hfubini_direct(n)
-    if family == "psi":
-        return fubini.psi_poly(n)
-    if family == "power-sum":
-        return fubini.power_sum_poly(n)
-    if family == "bernoulli":
-        return combinat.bernoulli_poly(n)
-    if family == "lambda":
-        if nu is None:
-            raise UsageError("family 'lambda' requires --nu")
-        return fubini.lambda_poly(n, nu)
-    raise UsageError(f"unknown polynomial family: {family}")
-
-
-def _compute_scalar(family: str, n: int, nu: Optional[int]):
-    if family == "harmonic":
-        return combinat.harmonic(n)
-    if nu is None:
-        raise UsageError(f"family '{family}' requires --nu")
-    if family == "stirling":
-        return combinat.stirling2(n, nu)
-    if family == "sf":
-        return combinat.sf(n, nu)
-    raise UsageError(f"unknown scalar family: {family}")
 
 
 def _cmd_compute(args) -> int:
@@ -131,25 +117,16 @@ def _cmd_compute(args) -> int:
         "nu": args.nu,
         "at": format_rational(at) if at is not None else None,
     }
-    if args.family in _SCALAR_FAMILIES:
-        if at is not None:
-            raise UsageError(f"--at does not apply to scalar family '{args.family}'")
-        value = _compute_scalar(args.family, args.n, args.nu)
-        payload["value"] = _json_scalar(value)
-        plain = format_rational(value)
-    else:
-        poly = _compute_polynomial(args.family, args.n, args.nu)
-        if at is not None:
-            value = poly(at)
-            payload["value"] = _json_scalar(value)
-            plain = format_rational(value)
-        else:
-            payload["coefficients"] = _coeff_list_json(poly)
-            plain = _coeff_list_plain(poly)
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(plain)
+    build, needs_nu, polynomial = _COMPUTE_FAMILIES[args.family]
+    if at is not None and not polynomial:
+        raise UsageError(f"--at does not apply to scalar family '{args.family}'")
+    if needs_nu and args.nu is None:
+        raise UsageError(f"family '{args.family}' requires --nu")
+    value = build(args.n, args.nu)
+    if at is not None:
+        value = value(at)
+    payload["coefficients" if isinstance(value, Polynomial) else "value"] = json_value(value)
+    print(json.dumps(payload) if args.format == "json" else format_value(value))
     return 0
 
 
@@ -187,59 +164,24 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _table_rows(family: str, max_n: int):
-    if family in ("sf", "stirling"):
-        value = combinat.sf if family == "sf" else combinat.stirling2
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                yield {"n": n, "k": k, "value": value(n, k)}
-    elif family == "bernoulli":
-        for n in range(max_n + 1):
-            yield {"n": n, "value": combinat.bernoulli(n)}
-    elif family == "lambda":
-        for n in range(1, max_n + 1):
-            for nu in range(1, n + 1):
-                yield {"n": n, "nu": nu, "coefficients": fubini.lambda_poly(n, nu)}
-    else:
-        raise UsageError(f"unknown table family: {family}")
-
-
 def _cmd_table(args) -> int:
     if args.max_n < 1:
         raise UsageError(f"--max-n must be positive, got {args.max_n}")
-    rows = list(_table_rows(args.family, args.max_n))
-    columns = list(rows[0].keys())
+    rows = list(_TABLE_FAMILIES[args.family](args.max_n))
     if args.format == "json":
-        out_rows = []
-        for row in rows:
-            item = {}
-            for key, val in row.items():
-                if isinstance(val, Polynomial):
-                    item[key] = _coeff_list_json(val)
-                elif isinstance(val, (int, Fraction)):
-                    item[key] = _json_scalar(val)
-                else:
-                    item[key] = val
-            out_rows.append(item)
         print(json.dumps({"schema_version": SCHEMA_VERSION, "family": args.family,
-                          "max_n": args.max_n, "rows": out_rows}))
+                          "max_n": args.max_n,
+                          "rows": [{k: json_value(v) for k, v in row.items()} for row in rows]}))
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([_coeff_list_plain(v) if isinstance(v, Polynomial)
-                             else format_rational(v) for v in row.values()])
+            writer.writerow([format_value(v) for v in row.values()])
         sys.stdout.write(buf.getvalue())
     else:
         for row in rows:
-            cells = []
-            for key, val in row.items():
-                if isinstance(val, Polynomial):
-                    cells.append(_coeff_list_plain(val))
-                else:
-                    cells.append(format_rational(val))
-            print("  ".join(f"{k}={c}" for k, c in zip(columns, cells)))
+            print("  ".join(f"{k}={format_value(v)}" for k, v in row.items()))
     return 0
 
 

@@ -11,71 +11,86 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import Any, Callable, Iterator, List, Sequence
 
 from .exactpoly import Polynomial, Rational
 
 
-class Triangle:
-    """Memoized triangular table indexed by (n, k), 0 <= k <= n.
+class MemoTable:
+    """Rows of an exact table, memoized and grown on demand.
 
-    Rows are grown on demand from a row-extension rule; extension is
-    serialized by a lock, completed rows are immutable tuples and safe to
-    read from any thread.
+    ``table[n]`` returns row n; a missing row m is computed as
+    ``extend(table[m - 1], m)`` under this table's own lock, so completed
+    rows are never recomputed and are safe to read from any thread.  Rows
+    are whatever ``extend`` returns (a tuple of a triangle's row, a single
+    number, a polynomial) and must not be mutated.  Indices are not
+    validated here; the public functions that read a table do that.
     """
 
-    def __init__(self, first_row: Sequence, extend: Callable[[Sequence, int], Sequence]):
-        self._rows: List[tuple] = [tuple(first_row)]
+    __slots__ = ("_rows", "_extend", "_lock")
+
+    def __init__(self, first_rows: Sequence, extend: Callable[[Any, int], Any]):
+        self._rows: List = list(first_rows)
         self._extend = extend
         self._lock = threading.Lock()
 
-    def _ensure(self, n: int) -> None:
-        if n < len(self._rows):
-            return
+    def __getitem__(self, n: int):
+        rows = self._rows
+        if n < len(rows):
+            return rows[n]
         with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                row = tuple(self._extend(self._rows[m - 1], m))
-                assert len(row) == m + 1
-                self._rows.append(row)
+            while len(rows) <= n:
+                m = len(rows)
+                rows.append(self._extend(rows[m - 1], m))
+        return rows[n]
 
-    def value(self, n: int, k: int):
-        if n < 0 or k < 0 or k > n:
-            raise ValueError(f"triangle index out of range: (n={n}, k={k})")
-        self._ensure(n)
-        return self._rows[n][k]
+    @contextmanager
+    def override(self, n: int, value) -> Iterator[None]:
+        """Replace row n by ``value`` for the duration of the block, for
+        fault-injection tests.  Row n + 1 is grown first, so no later row of
+        this table is ever derived from the replacement; rows of other
+        tables already grown from row n keep their true values."""
+        self[n + 1]
+        original = self._rows[n]
+        self._rows[n] = value
+        try:
+            yield
+        finally:
+            self._rows[n] = original
 
-    def row(self, n: int) -> tuple:
-        if n < 0:
-            raise ValueError(f"negative row index: {n}")
-        self._ensure(n)
-        return self._rows[n]
 
-
-def _stirling2_row(prev: Sequence, n: int) -> list:
+def _stirling2_row(prev: Sequence, n: int) -> tuple:
     # S2(n,k) = k*S2(n-1,k) + S2(n-1,k-1)
-    return [(k * prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0)
-            for k in range(n + 1)]
+    return tuple((k * prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0)
+                 for k in range(n + 1))
 
 
-def _sf_row(prev: Sequence, n: int) -> list:
+def _sf_row(prev: Sequence, n: int) -> tuple:
     # SF(n,k) = k*(SF(n-1,k) + SF(n-1,k-1))
-    return [k * ((prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0))
-            for k in range(n + 1)]
+    return tuple(k * ((prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0))
+                 for k in range(n + 1))
 
 
-_stirling2_triangle = Triangle((1,), _stirling2_row)
-_sf_triangle = Triangle((1,), _sf_row)
+def _bernoulli_value(prev: Fraction, n: int) -> Fraction:
+    # B_n = sum_{v=1..n} SF(n,v) (-1)^v / (v+1), read from the SF table itself
+    row = sf_table[n]
+    total = Fraction(0)
+    for v in range(1, n + 1):
+        term = Fraction(row[v], v + 1)
+        total += -term if v % 2 else term
+    return total
 
-_harmonic_lock = threading.Lock()
-_harmonic_values: List[Fraction] = [Fraction(0)]  # index 0 is an internal base, never exposed
 
-_bernoulli_lock = threading.Lock()
-_bernoulli_values: List[Fraction] = [Fraction(1)]
-
-_bernoulli_poly_lock = threading.Lock()
-_bernoulli_polys: List[Polynomial] = [Polynomial.one()]
+stirling2_table = MemoTable([(1,)], _stirling2_row)
+sf_table = MemoTable([(1,)], _sf_row)
+# Index 0 is an internal base, never exposed.
+harmonic_table = MemoTable([Fraction(0)], lambda prev, n: prev + Fraction(1, n))
+bernoulli_table = MemoTable([Fraction(1)], _bernoulli_value)
+# B_n(x) = n * antiderivative of B_(n-1)(x), plus the constant B_n.
+bernoulli_poly_table = MemoTable(
+    [Polynomial.one()], lambda prev, n: prev.antiderivative() * n + bernoulli_table[n])
 
 
 def stirling2(n: int, k: int) -> int:
@@ -84,7 +99,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("arguments must be nonnegative")
     if k > n:
         raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
-    return _stirling2_triangle.value(n, k)
+    return stirling2_table[n][k]
 
 
 def sf(n: int, k: int) -> int:
@@ -94,14 +109,14 @@ def sf(n: int, k: int) -> int:
         raise ValueError("arguments must be nonnegative")
     if k > n:
         raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
-    return _sf_triangle.value(n, k)
+    return sf_table[n][k]
 
 
 def sf_row(n: int) -> tuple:
     """Row n of the scaled-Stirling triangle: (SF(n,0), ..., SF(n,n))."""
     if n < 0:
         raise ValueError(f"negative row index: {n}")
-    return _sf_triangle.row(n)
+    return sf_table[n]
 
 
 def harmonic(n: int) -> Fraction:
@@ -111,12 +126,7 @@ def harmonic(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"harmonic(n) requires n >= 1, got {n}")
-    if n >= len(_harmonic_values):
-        with _harmonic_lock:
-            while len(_harmonic_values) <= n:
-                m = len(_harmonic_values)
-                _harmonic_values.append(_harmonic_values[m - 1] + Fraction(1, m))
-    return _harmonic_values[n]
+    return harmonic_table[n]
 
 
 def binomial(n: int, k: int) -> int:
@@ -147,17 +157,7 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n >= len(_bernoulli_values):
-        with _bernoulli_lock:
-            while len(_bernoulli_values) <= n:
-                m = len(_bernoulli_values)
-                row = _sf_triangle.row(m)
-                total = Fraction(0)
-                for v in range(1, m + 1):
-                    term = Fraction(row[v], v + 1)
-                    total += -term if v % 2 else term
-                _bernoulli_values.append(total)
-    return _bernoulli_values[n]
+    return bernoulli_table[n]
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -182,10 +182,4 @@ def bernoulli_poly(n: int) -> Polynomial:
     fixing; results are memoized."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n >= len(_bernoulli_polys):
-        with _bernoulli_poly_lock:
-            while len(_bernoulli_polys) <= n:
-                m = len(_bernoulli_polys)
-                poly = _bernoulli_polys[m - 1].antiderivative() * m + bernoulli(m)
-                _bernoulli_polys.append(poly)
-    return _bernoulli_polys[n]
+    return bernoulli_poly_table[n]

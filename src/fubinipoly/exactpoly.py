@@ -41,6 +41,34 @@ def format_rational(value: Rational) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def format_value(value) -> str:
+    """Render an exact value as a self-contained string: a scalar as
+    :func:`format_rational`, a polynomial as its coefficient list constant
+    term first (``[c0, c1, ...]``), a tuple as ``(a, b, ...)``, a bool as
+    ``true``/``false``; anything else by ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        return format_rational(value)
+    if isinstance(value, Polynomial):
+        return "[" + ", ".join(format_rational(c) for c in value.coefficients) + "]"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(format_value(v) for v in value) + ")"
+    return str(value)
+
+
+def json_value(value):
+    """The JSON form of an exact value: an integral scalar as a JSON number,
+    any other scalar as its ``"p/q"`` string, a polynomial (coefficients
+    constant term first) or tuple as a list of converted entries.  Ints,
+    bools and anything else pass through unchanged."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else format_rational(value)
+    if isinstance(value, (Polynomial, tuple)):
+        return [json_value(v) for v in value]
+    return value
+
+
 def _coerce(value) -> Rational:
     """Normalize a coefficient: integral Fractions collapse to int, floats are refused."""
     if isinstance(value, int):
@@ -165,14 +193,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = _ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __call__(self, point: Rational) -> Rational:
         """Exact Horner evaluation."""

@@ -15,11 +15,9 @@ polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from typing import List
 
-from .combinat import bernoulli, bernoulli_poly, binomial_rat, harmonic, sf_row
+from .combinat import MemoTable, bernoulli, bernoulli_poly, binomial_rat, harmonic, sf_row
 from .exactpoly import Polynomial, Rational
 
 _X = Polynomial.x()
@@ -65,58 +63,30 @@ def hfubini_rec(n: int) -> Polynomial:
     return h
 
 
-class LambdaTable:
-    """Memoized rows of the connection polynomials lambda(n, nu).
+def _lambda_row(prev: tuple, n: int) -> tuple:
+    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]
+    def entry(nu: int) -> Polynomial:
+        lam = prev[nu - 1] if nu < n else Polynomial.zero()
+        lam_below = prev[nu - 2] if nu >= 2 else Polynomial.zero()
+        out = _X2_PLUS_X * lam.derivative() + lam_below
+        if nu == n - 1:
+            out = out + _X
+        return out
 
-    Base entry lambda(1,1) = 1; out-of-range indices are the zero
-    polynomial; row n+1 is derived from row n in one pass by
-
-        lambda(n+1, nu) = (x^2+x) * lambda(n, nu)' + lambda(n, nu-1)
-                          + x * [nu == n].
-
-    Every stored entry has nonnegative integer coefficients and degree
-    n - nu.  Extension is serialized; completed rows are immutable.
-    """
-
-    def __init__(self) -> None:
-        self._rows: List[tuple] = [(), (Polynomial.one(),)]
-        self._lock = threading.Lock()
-
-    def row(self, n: int) -> tuple:
-        """Polynomials lambda(n, 1) .. lambda(n, n) as a tuple."""
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        if n >= len(self._rows):
-            with self._lock:
-                while len(self._rows) <= n:
-                    m = len(self._rows) - 1
-                    prev = self._rows[m]
-
-                    def entry(nu: int) -> Polynomial:
-                        lam = prev[nu - 1] if 1 <= nu <= m else Polynomial.zero()
-                        lam_below = prev[nu - 2] if 2 <= nu <= m + 1 else Polynomial.zero()
-                        out = _X2_PLUS_X * lam.derivative() + lam_below
-                        if nu == m:
-                            out = out + _X
-                        return out
-
-                    self._rows.append(tuple(entry(nu) for nu in range(1, m + 2)))
-        return self._rows[n]
-
-    def poly(self, n: int, nu: int) -> Polynomial:
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        if nu < 1 or nu > n:
-            return Polynomial.zero()
-        return self.row(n)[nu - 1]
+    return tuple(entry(nu) for nu in range(1, n + 1))
 
 
-_lambda_table = LambdaTable()
+# Row n holds lambda(n, 1) .. lambda(n, n); the base is lambda(1, 1) = 1.
+# Every entry has nonnegative integer coefficients and degree n - nu.
+lambda_table = MemoTable([(), (Polynomial.one(),)], _lambda_row)
 
 
 def lambda_poly(n: int, nu: int) -> Polynomial:
     """Connection polynomial lambda(n, nu); zero for nu outside 1..n."""
-    return _lambda_table.poly(n, nu)
+    _require_positive(n)
+    if nu < 1 or nu > n:
+        return Polynomial.zero()
+    return lambda_table[n][nu - 1]
 
 
 def psi_poly(n: int) -> Polynomial:

@@ -1,8 +1,9 @@
 """Named identity checks, executed exactly over a range of n.
 
-Every check compares two independently computed exact values; a report
-carries the scanned range, pass/fail, and on failure the smallest failing
-index together with both sides rendered as self-contained strings.
+Every check compares two independently computed exact values over the
+index range it declares; a report carries that range, pass/fail/empty, and
+on failure the smallest failing index together with both sides rendered as
+self-contained strings.
 Randomized checks draw from a seeded generator and record the seed.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row
-from .exactpoly import Polynomial, format_rational
+from .exactpoly import Polynomial, format_value
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -31,9 +32,10 @@ DEFAULT_SEED = 0
 _MINUS_HALF = Fraction(-1, 2)
 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
-# checks); lhs/rhs are exact comparables.
+# checks); lhs/rhs are exact comparables.  A generator yields cases for the
+# indices of its check's declared range, in order.
 Case = Tuple[int, object, object]
-CaseGen = Callable[[int, random.Random], Iterator[Case]]
+CaseGen = Callable[[range, random.Random], Iterator[Case]]
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,7 @@ class IdentityCheck:
     check_id: str
     description: str
     randomized: bool
-    first_n: int                      # smallest index the check can scan
-    last_n: Callable[[int], int]      # largest index scanned for a given max_n
+    indices: Callable[[int], range]   # the indices scanned for a given max_n
     cases: CaseGen
 
 
@@ -51,7 +52,7 @@ class IdentityReport:
     check_id: str
     n_min: int
     n_max: int
-    status: str                       # "pass" | "fail"
+    status: str                       # "pass" | "fail" | "empty" (no case evaluated)
     witness_n: Optional[int]
     lhs: Optional[str]
     rhs: Optional[str]
@@ -76,85 +77,72 @@ class IdentityReport:
         }
 
 
-def _render(value) -> str:
-    """Render an exact value as a self-contained string."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    if isinstance(value, Polynomial):
-        return "[" + ", ".join(format_rational(c) for c in value.coefficients) + "]"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_render(v) for v in value) + ")"
-    return str(value)
-
-
 # --- check bodies ----------------------------------------------------------
 
 
-def _cases_fs_at_minus_one(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, fubini_direct(n)(-1), (-1) ** n
 
 
-def _cases_fh_at_minus_one(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, hfubini_direct(n)(-1), Fraction((-1) ** n * n)
 
 
-def _cases_worpitzky_integral(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, fubini_direct(n).definite_integral(-1, 0), bernoulli(n)
 
 
-def _cases_fs_central_value(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         rhs = Fraction(-2) * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)
         yield n, fubini_direct(n)(_MINUS_HALF), rhs
 
 
-def _cases_thm_main_integral(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         rhs = -Fraction(n, 2) * bernoulli(n - 1)
         yield n, hfubini_direct(n).definite_integral(-1, 0), rhs
 
 
-def _cases_thm_main_central(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(2, max_n + 1, 2):
+def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         rhs = -Fraction(n - 1, 2) * fubini_direct(n - 1)(_MINUS_HALF)
         yield n, hfubini_direct(n)(_MINUS_HALF), rhs
 
 
-def _cases_cor_psi_odd(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1, 2):
+def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, psi_poly(n)(_MINUS_HALF), Fraction(0)
 
 
-def _cases_lambda_expansion(max_n: int, rng: random.Random) -> Iterator[Case]:
-    fs = [None] + [fubini_direct(v) for v in range(1, max_n + 1)]
-    for n in range(1, max_n + 1):
+def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
+    fs = [None] + [fubini_direct(v) for v in range(1, ns.stop)]
+    for n in ns:
         total = Polynomial.zero()
         for v in range(1, n + 1):
             total = total + lambda_poly(n, v) * fs[v]
         yield n, total, hfubini_direct(n)
 
 
-def _cases_lambda_degree_P(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         for v in range(1, n + 1):
             lam = lambda_poly(n, v)
             yield n, (v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True)
 
 
-def _cases_lambda_top(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, lambda_poly(n, n), Polynomial.one()
         if n >= 2:
             yield n, lambda_poly(n, n - 1), Polynomial.monomial(n - 1, 1)
 
 
-def _cases_lambda_reflection(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(3, max_n + 1):
+def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         for v in range(1, n - 1):
             member = lambda_poly(n, v).in_reflection_class(_MINUS_HALF)
             yield n, (v, member), (v, True)
@@ -177,8 +165,8 @@ def _random_reflection_member(rng: random.Random, m: int) -> Polynomial:
     return f
 
 
-def _cases_semiring_closure(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for case in range(1, _CLOSURE_CASES + 1):
+def _cases_semiring_closure(ns: range, rng: random.Random) -> Iterator[Case]:
+    for case in ns:
         m = rng.randint(0, 4)
         alpha = Fraction(-m, 2)
         f = _random_reflection_member(rng, m)
@@ -201,20 +189,20 @@ _GOLDEN_LAMBDA_ROWS = {
 }
 
 
-def _cases_table_fh_fs(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, min(4, max_n) + 1):
+def _cases_table_fh_fs(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         computed = tuple(lambda_poly(n, v) for v in range(1, n + 1))
         expected = tuple(Polynomial(c) for c in _GOLDEN_LAMBDA_ROWS[n])
         yield n, computed, expected
 
 
-def _cases_remainder_vanishes(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(2, max_n + 1, 2):
+def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, remainder_R(n)(_MINUS_HALF), Fraction(0)
 
 
-def _cases_drv_fh_bn(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         row = sf_row(n)
         total = Fraction(0)
         for v in range(1, n + 1):
@@ -223,11 +211,11 @@ def _cases_drv_fh_bn(max_n: int, rng: random.Random) -> Iterator[Case]:
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
 
-def _cases_gregory_newton(max_n: int, rng: random.Random) -> Iterator[Case]:
+def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
     binom_polys = [Polynomial.one()]
-    for k in range(1, max_n + 1):
+    for k in range(1, ns.stop):
         binom_polys.append(binom_polys[-1] * Polynomial([-(k - 1), 1]) * Fraction(1, k))
-    for n in range(1, max_n + 1):
+    for n in ns:
         row = sf_row(n)
         total = Polynomial.zero()
         for k in range(n + 1):
@@ -236,8 +224,8 @@ def _cases_gregory_newton(max_n: int, rng: random.Random) -> Iterator[Case]:
         yield n, total, Polynomial.monomial(1, n)
 
 
-def _cases_power_sum_agree(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         poly = power_sum_poly(n)
         for _ in range(20):
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
@@ -251,16 +239,16 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
 
 
-def _cases_bt_involution(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for case in range(1, _BT_CASES + 1):
+def _cases_bt_involution(ns: range, rng: random.Random) -> Iterator[Case]:
+    for case in ns:
         seq = tuple(_random_rational(rng) for _ in range(rng.randint(1, 32)))
         yield case, binomial_transform(binomial_transform(seq)), seq
 
 
-def _cases_bt_harmonic(max_n: int, rng: random.Random) -> Iterator[Case]:
-    seq = (Fraction(0),) + tuple(harmonic(k) for k in range(1, max_n + 1))
+def _cases_bt_harmonic(ns: range, rng: random.Random) -> Iterator[Case]:
+    seq = (Fraction(0),) + tuple(harmonic(k) for k in range(1, ns.stop))
     transformed = binomial_transform(seq)
-    for n in range(1, max_n + 1):
+    for n in ns:
         yield n, transformed[n], Fraction(-1, n)
 
 
@@ -273,15 +261,15 @@ def _random_poly(rng: random.Random, max_degree: int) -> Polynomial:
                        for _ in range(length)])
 
 
-def _cases_euler_hadamard(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for case in range(1, _EULER_CASES + 1):
+def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Case]:
+    for case in ns:
         f = _random_poly(rng, 12)
         g = _random_poly(rng, 12)
         yield case, euler_hadamard(f, g), hadamard(f, g)
 
 
-def _cases_fh_derivative_form(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, max_n + 1):
+def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, hfubini_via_derivatives(n), hfubini_direct(n)
 
 
@@ -303,58 +291,63 @@ def _ordered_partition_count(n: int) -> int:
     return count((1 << n) - 1)
 
 
-def _cases_fubini_numbers(max_n: int, rng: random.Random) -> Iterator[Case]:
-    for n in range(1, min(8, max_n) + 1):
+def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Case]:
+    for n in ns:
         yield n, fubini_direct(n)(1), _ordered_partition_count(n)
 
 
 # --- registry ---------------------------------------------------------------
 
+
+def _one_to(max_n: int) -> range:
+    return range(1, max_n + 1)
+
+
 _ALL_CHECKS: Sequence[IdentityCheck] = (
     IdentityCheck("fs-at-minus-one", "F_n(-1) = (-1)^n for n >= 1",
-                  False, 1, lambda m: m, _cases_fs_at_minus_one),
+                  False, _one_to, _cases_fs_at_minus_one),
     IdentityCheck("fh-at-minus-one", "Fhat_n(-1) = (-1)^n * n for n >= 1",
-                  False, 1, lambda m: m, _cases_fh_at_minus_one),
+                  False, _one_to, _cases_fh_at_minus_one),
     IdentityCheck("worpitzky-integral", "integral of F_n over [-1, 0] equals B_n",
-                  False, 1, lambda m: m, _cases_worpitzky_integral),
+                  False, _one_to, _cases_worpitzky_integral),
     IdentityCheck("fs-central-value", "F_n(-1/2) = -2 (2^(n+1) - 1) B_(n+1) / (n+1)",
-                  False, 1, lambda m: m, _cases_fs_central_value),
+                  False, _one_to, _cases_fs_central_value),
     IdentityCheck("thm-main-integral", "integral of Fhat_n over [-1, 0] equals -(n/2) B_(n-1)",
-                  False, 1, lambda m: m, _cases_thm_main_integral),
+                  False, _one_to, _cases_thm_main_integral),
     IdentityCheck("thm-main-central", "Fhat_n(-1/2) = -((n-1)/2) F_(n-1)(-1/2) for even n",
-                  False, 2, lambda m: m, _cases_thm_main_central),
+                  False, lambda m: range(2, m + 1, 2), _cases_thm_main_central),
     IdentityCheck("cor-psi-odd", "psi_n(-1/2) = 0 for odd n",
-                  False, 1, lambda m: m, _cases_cor_psi_odd),
+                  False, lambda m: range(1, m + 1, 2), _cases_cor_psi_odd),
     IdentityCheck("lambda-expansion", "Fhat_n = sum_nu lambda(n,nu) F_nu as polynomials",
-                  False, 1, lambda m: m, _cases_lambda_expansion),
+                  False, _one_to, _cases_lambda_expansion),
     IdentityCheck("lambda-degree-P", "deg lambda(n,nu) = n - nu with nonnegative integer coefficients",
-                  False, 1, lambda m: m, _cases_lambda_degree_P),
+                  False, _one_to, _cases_lambda_degree_P),
     IdentityCheck("lambda-top", "lambda(n,n) = 1 and lambda(n,n-1) = (n-1) x",
-                  False, 1, lambda m: m, _cases_lambda_top),
+                  False, _one_to, _cases_lambda_top),
     IdentityCheck("lambda-reflection", "lambda(n,nu) lies in the reflection class at -1/2 for n >= 3, nu <= n-2",
-                  False, 3, lambda m: m, _cases_lambda_reflection),
+                  False, lambda m: range(3, m + 1), _cases_lambda_reflection),
     IdentityCheck("semiring-closure", "reflection classes close under product, parity-matched sum, derivative; odd members vanish at the axis",
-                  True, 1, lambda m: _CLOSURE_CASES, _cases_semiring_closure),
+                  True, lambda m: range(1, _CLOSURE_CASES + 1), _cases_semiring_closure),
     IdentityCheck("table-fh-fs", "lambda rows for n <= 4 match their pinned golden coefficients",
-                  False, 1, lambda m: min(4, m), _cases_table_fh_fs),
+                  False, lambda m: range(1, min(4, m) + 1), _cases_table_fh_fs),
     IdentityCheck("remainder-vanishes", "the lambda-expansion tail of Fhat_n vanishes at -1/2 for even n",
-                  False, 2, lambda m: m, _cases_remainder_vanishes),
+                  False, lambda m: range(2, m + 1, 2), _cases_remainder_vanishes),
     IdentityCheck("drv-fh-bn", "sum_v SF(n,v) H_v (-1)^v/(v+1) = -(n/2) B_(n-1)",
-                  False, 1, lambda m: m, _cases_drv_fh_bn),
+                  False, _one_to, _cases_drv_fh_bn),
     IdentityCheck("gregory-newton", "x^n = sum_k SF(n,k) C(x,k) as polynomials",
-                  False, 1, lambda m: m, _cases_gregory_newton),
+                  False, _one_to, _cases_gregory_newton),
     IdentityCheck("power-sum-agree", "Bernoulli-polynomial and finite-difference power sums agree at random rational points",
-                  True, 1, lambda m: m, _cases_power_sum_agree),
+                  True, _one_to, _cases_power_sum_agree),
     IdentityCheck("bt-involution", "the binomial transform is an involution on random sequences",
-                  True, 1, lambda m: _BT_CASES, _cases_bt_involution),
+                  True, lambda m: range(1, _BT_CASES + 1), _cases_bt_involution),
     IdentityCheck("bt-harmonic", "the binomial transform of (0, H_1, H_2, ...) has n-th entry -1/n",
-                  False, 1, lambda m: m, _cases_bt_harmonic),
+                  False, _one_to, _cases_bt_harmonic),
     IdentityCheck("euler-hadamard", "the derivative-sum route to the coefficient-wise product matches it on random pairs",
-                  True, 1, lambda m: _EULER_CASES, _cases_euler_hadamard),
+                  True, lambda m: range(1, _EULER_CASES + 1), _cases_euler_hadamard),
     IdentityCheck("fh-derivative-form", "Fhat_n rebuilt from the derivatives of F_n matches the direct sum",
-                  False, 1, lambda m: m, _cases_fh_derivative_form),
+                  False, _one_to, _cases_fh_derivative_form),
     IdentityCheck("fubini-numbers", "F_n(1) equals the enumerated count of ordered set partitions for n <= 8",
-                  False, 1, lambda m: min(8, m), _cases_fubini_numbers),
+                  False, lambda m: range(1, min(8, m) + 1), _cases_fubini_numbers),
 )
 
 CHECKS = {check.check_id: check for check in _ALL_CHECKS}
@@ -363,19 +356,24 @@ CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
 def run_check(check_id: str, max_n: int, *, exhaustive: bool = False,
               seed: Optional[int] = None) -> IdentityReport:
-    """Evaluate one registered identity exactly for every applicable index up
-    to max_n.  Stops at the first failure unless exhaustive is set; either
-    way the witness is the smallest failing index."""
+    """Evaluate one registered identity exactly for every index of its
+    declared range at max_n, reported as n_min..n_max.  Stops at the first
+    failure unless exhaustive is set; either way the witness is the smallest
+    failing index.  A check that evaluates no case reports "empty", which
+    does not count as a pass."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id!r}")
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     check = CHECKS[check_id]
+    ns = check.indices(max_n)
     effective_seed = DEFAULT_SEED if seed is None else seed
     rng = random.Random(effective_seed)
+    cases = 0
     witness: Optional[Case] = None
     start = time.perf_counter()
-    for index, lhs, rhs in check.cases(max_n, rng):
+    for index, lhs, rhs in check.cases(ns, rng):
+        cases += 1
         if lhs != rhs:
             if witness is None or index < witness[0]:
                 witness = (index, lhs, rhs)
@@ -383,11 +381,11 @@ def run_check(check_id: str, max_n: int, *, exhaustive: bool = False,
                 break
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if witness is None:
-        return IdentityReport(check_id, check.first_n, check.last_n(max_n), "pass",
-                              None, None, None,
-                              effective_seed if check.randomized else None, elapsed_ms)
-    return IdentityReport(check_id, check.first_n, check.last_n(max_n), "fail",
-                          witness[0], _render(witness[1]), _render(witness[2]),
+        status, witness_n, lhs, rhs = "pass" if cases else "empty", None, None, None
+    else:
+        status, witness_n = "fail", witness[0]
+        lhs, rhs = format_value(witness[1]), format_value(witness[2])
+    return IdentityReport(check_id, ns.start, ns.stop - 1, status, witness_n, lhs, rhs,
                           effective_seed if check.randomized else None, elapsed_ms)
 
 

@@ -160,30 +160,21 @@ def test_criterion_7_fault_injection():
         combinat.sf(10, 5)
         combinat.bernoulli(10)
 
-        rows = combinat._sf_triangle._rows
-        original_row = rows[7]
-        corrupted = list(original_row)
+        corrupted = list(combinat.sf_row(7))
         corrupted[2] += 1
-        rows[7] = tuple(corrupted)
-        try:
+        with combinat.sf_table.override(7, tuple(corrupted)):
             reports = run_suite(10, ["fs-at-minus-one", "gregory-newton"])
             failed = [r for r in reports if not r.passed]
             assert failed
             for r in failed:
                 assert r.witness_n == 7
                 assert r.lhs is not None and r.rhs is not None
-        finally:
-            rows[7] = original_row
 
-        original_value = combinat._bernoulli_values[6]
-        combinat._bernoulli_values[6] = original_value + Fraction(1, 3)
-        try:
+        with combinat.bernoulli_table.override(6, combinat.bernoulli(6) + Fraction(1, 3)):
             report = run_check("worpitzky-integral", 10)
             assert report.status == "fail"
             assert report.witness_n == 6
             assert report.lhs is not None and report.rhs is not None
-        finally:
-            combinat._bernoulli_values[6] = original_value
 
         # restored state verifies clean again
         assert all(r.passed for r in run_suite(10, ["fs-at-minus-one",

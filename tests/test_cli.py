@@ -147,15 +147,19 @@ def test_verify_list_checks(capsys):
 
 def test_verify_failure_exit_code(capsys):
     combinat.bernoulli(10)
-    original = combinat._bernoulli_values[5]
-    combinat._bernoulli_values[5] = original + 1
-    try:
+    with combinat.bernoulli_table.override(5, combinat.bernoulli(5) + 1):
         code, out, _ = run_cli(["verify", "--max-n", "8", "--checks", "worpitzky-integral"], capsys)
-    finally:
-        combinat._bernoulli_values[5] = original
     assert code == 1
     assert "fail" in out
     assert "witness n=5" in out
+
+
+def test_verify_empty_check_fails_the_run(capsys):
+    code, out, _ = run_cli(["verify", "--max-n", "2", "--checks", "all"], capsys)
+    lines = out.splitlines()
+    assert code == 1
+    assert "empty lambda-reflection  n=3..2" in lines
+    assert lines[-1] == "21/22 checks passed"
 
 
 # --- table ------------------------------------------------------------------

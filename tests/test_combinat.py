@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fubinipoly.combinat import (
+    MemoTable,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     bernoulli_poly,
@@ -185,6 +186,20 @@ def test_monomial_expansion_in_rising_binomials():
         for k in range(n + 1):
             total = total + binom_polys[k] * sf(n, k)
         assert total == Polynomial.monomial(1, n)
+
+
+# --- memo table -------------------------------------------------------------
+
+def test_memo_table_override_never_feeds_later_rows():
+    table = MemoTable([0], lambda prev, n: prev + n)
+    with table.override(3, 100):
+        assert table[3] == 100
+        assert table[4] == 10           # grown from the true row 3 = 6
+    assert table[3] == 6
+    with pytest.raises(RuntimeError):
+        with table.override(2, -1):
+            raise RuntimeError
+    assert table[2] == 3
 
 
 # --- shared-cache concurrency smoke ----------------------------------------------------

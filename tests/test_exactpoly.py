@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import Polynomial, format_rational, parse_rational
+from fubinipoly.exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
 
 HALF_NEG = Fraction(-1, 2)
 
@@ -26,6 +26,16 @@ def test_parse_rational_accepts_exact_forms(text, expected):
 def test_parse_rational_rejects_inexact_or_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_format_and_json_of_exact_values():
+    poly = Polynomial([Fraction(1, 2), 0, 3])
+    assert format_value(poly) == "[1/2, 0, 3]"
+    assert format_value((2, (True, poly), "sum")) == "(2, (true, [1/2, 0, 3]), sum)"
+    assert format_value(Fraction(4, 2)) == "2"
+    assert json_value(poly) == ["1/2", 0, 3]
+    assert json_value((Fraction(6, 3), False)) == [2, False]
+    assert json_value(Fraction(-1, 3)) == "-1/3"
 
 
 def test_format_rational():
