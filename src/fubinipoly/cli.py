@@ -3,13 +3,17 @@
 Three subcommands:
 
 * ``compute``: one polynomial or scalar, optionally evaluated at an exact
-  rational point.  Coefficient lists print constant term first.
-* ``verify``: run registered identity checks; exit 0 only if all pass.
+  rational point.  Coefficient lists print constant term first.  ``--nu`` is
+  required by ``lambda``, ``stirling`` and ``sf`` and refused by every other
+  family; ``--at`` is refused by the scalar families.
+* ``verify``: run registered identity checks; exit 0 only if all pass.  A
+  failing check reports its first failing index, which is the smallest.
 * ``table``: triangles and sequences as plain text, JSON, or CSV.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a check
-failed or evaluated no case), 2 usage error.  Rational values are always
-printed reduced, as ``p/q`` or a bare integer.
+failed or evaluated no case), 2 usage error (argparse's, or any ValueError
+raised by the library).  Rational values are always printed reduced, as
+``p/q`` or a bare integer.  Run as ``fubinipoly`` or ``python -m fubinipoly``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from . import combinat, fubini, verify
 from .exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
@@ -26,14 +30,10 @@ from .exactpoly import Polynomial, format_rational, format_value, json_value, pa
 SCHEMA_VERSION = 1
 
 
-class UsageError(Exception):
-    pass
-
-
-# compute: family -> (builder(n, nu), whether --nu is required, whether the
-# result is a polynomial that --at may evaluate).  Builders look the library
-# function up at call time, so a rebinding of the module attribute (a tracer,
-# a test double) is honoured.
+# compute: family -> (builder(n, nu), whether the family reads --nu (then it
+# is required, else refused), whether the result is a polynomial that --at
+# may evaluate).  Builders look the library function up at call time, so a
+# rebinding of the module attribute (a tracer, a test double) is honoured.
 _COMPUTE_FAMILIES = {
     "fubini": (lambda n, nu: fubini.fubini_direct(n), False, True),
     "hfubini": (lambda n, nu: fubini.hfubini_direct(n), False, True),
@@ -81,11 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("family", choices=tuple(_COMPUTE_FAMILIES))
     p_compute.add_argument("--n", type=int, required=True, help="main index n")
     p_compute.add_argument("--nu", type=int, default=None,
-                           help="second index (required for "
-                                + ", ".join(f for f, (_, nu, _) in _COMPUTE_FAMILIES.items() if nu) + ")")
+                           help="second index (required by "
+                                + ", ".join(f for f, (_, nu, _) in _COMPUTE_FAMILIES.items() if nu)
+                                + "; refused by the others)")
     p_compute.add_argument("--at", default=None, metavar="RATIONAL",
                            help="evaluate the polynomial at this exact point (p/q or integer)")
     p_compute.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_compute.set_defaults(func=_cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--max-n", type=int, default=64, dest="max_n",
@@ -93,17 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default="all",
                           help="comma-separated check ids, or 'all' (default)")
     p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_verify.add_argument("--exhaustive", action="store_true",
-                          help="scan the whole range instead of stopping at the first failure")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for randomized checks (default 0, recorded in reports)")
+    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
+                          help="seed for randomized checks (default %(default)s, recorded in reports)")
     p_verify.add_argument("--list", action="store_true", dest="list_checks",
                           help="list registered check ids and exit")
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a whole triangle or sequence")
     p_table.add_argument("family", choices=tuple(_TABLE_FAMILIES))
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p_table.set_defaults(func=_cmd_table)
 
     return parser
 
@@ -119,9 +121,11 @@ def _cmd_compute(args) -> int:
     }
     build, needs_nu, polynomial = _COMPUTE_FAMILIES[args.family]
     if at is not None and not polynomial:
-        raise UsageError(f"--at does not apply to scalar family '{args.family}'")
+        raise ValueError(f"--at does not apply to scalar family '{args.family}'")
     if needs_nu and args.nu is None:
-        raise UsageError(f"family '{args.family}' requires --nu")
+        raise ValueError(f"family '{args.family}' requires --nu")
+    if not needs_nu and args.nu is not None:
+        raise ValueError(f"--nu does not apply to family '{args.family}'")
     value = build(args.n, args.nu)
     if at is not None:
         value = value(at)
@@ -135,15 +139,8 @@ def _cmd_verify(args) -> int:
         for check_id in verify.CHECK_IDS:
             print(check_id)
         return 0
-    selection: Sequence[str] | str
-    if args.checks.strip() == "all":
-        selection = "all"
-    else:
-        selection = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not selection:
-            raise UsageError("--checks must name at least one check or 'all'")
-    reports = verify.run_suite(args.max_n, selection,
-                               exhaustive=args.exhaustive, seed=args.seed)
+    selection = [c.strip() for c in args.checks.split(",") if c.strip()]
+    reports = verify.run_suite(args.max_n, selection, seed=args.seed)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -166,7 +163,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.max_n < 1:
-        raise UsageError(f"--max-n must be positive, got {args.max_n}")
+        raise ValueError(f"--max-n must be positive, got {args.max_n}")
     rows = list(_TABLE_FAMILIES[args.family](args.max_n))
     if args.format == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "family": args.family,
@@ -205,21 +202,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(_join_rational_flag_values(
         list(sys.argv[1:]) if argv is None else list(argv)))
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise UsageError(f"unknown command: {args.command}")
-    except (UsageError, ValueError) as exc:
+        return args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -247,27 +247,6 @@ class Polynomial:
         sign = -1 if self.degree % 2 else 1
         return self.reflect_about(alpha) == self * sign
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
-            if c == 0:
-                continue
-            mag = format_rational(c if c > 0 else -c)
-            term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if term and mag == "1":
-                mag = ""
-            elif term and "/" in mag:
-                mag = f"({mag})"
-            body = f"{mag}{term}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)!r})"
 

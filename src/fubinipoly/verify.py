@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -33,7 +33,8 @@ _MINUS_HALF = Fraction(-1, 2)
 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
 # checks); lhs/rhs are exact comparables.  A generator yields cases for the
-# indices of its check's declared range, in order.
+# indices of its check's declared range in ascending order, so the first
+# failing case is the one with the smallest index.
 Case = Tuple[int, object, object]
 CaseGen = Callable[[range, random.Random], Iterator[Case]]
 
@@ -64,17 +65,7 @@ class IdentityReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "status": self.status,
-            "witness_n": self.witness_n,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 # --- check bodies ----------------------------------------------------------
@@ -354,31 +345,26 @@ CHECKS = {check.check_id: check for check in _ALL_CHECKS}
 CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
 
-def run_check(check_id: str, max_n: int, *, exhaustive: bool = False,
-              seed: Optional[int] = None) -> IdentityReport:
+def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate one registered identity exactly for every index of its
     declared range at max_n, reported as n_min..n_max.  Stops at the first
-    failure unless exhaustive is set; either way the witness is the smallest
-    failing index.  A check that evaluates no case reports "empty", which
-    does not count as a pass."""
+    failure; generators yield their indices in ascending order, so the
+    witness is the smallest failing index.  A check that evaluates no case
+    reports "empty", which does not count as a pass."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id!r}")
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     check = CHECKS[check_id]
     ns = check.indices(max_n)
-    effective_seed = DEFAULT_SEED if seed is None else seed
-    rng = random.Random(effective_seed)
     cases = 0
     witness: Optional[Case] = None
     start = time.perf_counter()
-    for index, lhs, rhs in check.cases(ns, rng):
+    for index, lhs, rhs in check.cases(ns, random.Random(seed)):
         cases += 1
         if lhs != rhs:
-            if witness is None or index < witness[0]:
-                witness = (index, lhs, rhs)
-            if not exhaustive:
-                break
+            witness = (index, lhs, rhs)
+            break
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if witness is None:
         status, witness_n, lhs, rhs = "pass" if cases else "empty", None, None, None
@@ -386,22 +372,22 @@ def run_check(check_id: str, max_n: int, *, exhaustive: bool = False,
         status, witness_n = "fail", witness[0]
         lhs, rhs = format_value(witness[1]), format_value(witness[2])
     return IdentityReport(check_id, ns.start, ns.stop - 1, status, witness_n, lhs, rhs,
-                          effective_seed if check.randomized else None, elapsed_ms)
+                          seed if check.randomized else None, elapsed_ms)
 
 
 def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
-              exhaustive: bool = False, seed: Optional[int] = None) -> List[IdentityReport]:
-    """Run a selection of checks (or all of them) and return the reports in
-    selection order.  Every id is validated before anything runs."""
+              seed: int = DEFAULT_SEED) -> List[IdentityReport]:
+    """Run a selection of checks ("all", ["all"] or a list of ids) and return
+    the reports in selection order.  Every id is validated, and an empty
+    selection refused, before anything runs."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    if isinstance(selection, str):
-        ids = list(CHECK_IDS) if selection == "all" else [selection]
-    else:
-        ids = list(selection)
-        if ids == ["all"]:
-            ids = list(CHECK_IDS)
+    ids = [selection] if isinstance(selection, str) else list(selection)
+    if ids == ["all"]:
+        ids = list(CHECK_IDS)
+    if not ids:
+        raise ValueError("no check selected: name at least one check id or 'all'")
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check id(s): {', '.join(repr(u) for u in unknown)}")
-    return [run_check(i, max_n, exhaustive=exhaustive, seed=seed) for i in ids]
+    return [run_check(i, max_n, seed=seed) for i in ids]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import fubinipoly
 from fubinipoly import combinat
 from fubinipoly.cli import main
 
@@ -43,6 +47,13 @@ def test_compute_scalar_families(capsys):
     assert run_cli(["compute", "stirling", "--n", "4", "--nu", "2"], capsys)[:2] == (0, "7\n")
     assert run_cli(["compute", "sf", "--n", "4", "--nu", "2"], capsys)[:2] == (0, "14\n")
     assert run_cli(["compute", "harmonic", "--n", "2"], capsys)[:2] == (0, "3/2\n")
+
+
+def test_compute_rejects_nu_on_families_that_ignore_it(capsys):
+    for family in ("fubini", "hfubini", "psi", "bernoulli", "power-sum", "harmonic"):
+        code, out, err = run_cli(["compute", family, "--n", "3", "--nu", "2"], capsys)
+        assert (code, out) == (2, ""), family
+        assert f"--nu does not apply to family '{family}'" in err
 
 
 def test_compute_scalar_family_rejects_at(capsys):
@@ -107,6 +118,12 @@ def test_verify_unknown_check(capsys):
     code, _, err = run_cli(["verify", "--checks", "no-such-id"], capsys)
     assert code == 2
     assert "no-such-id" in err
+
+
+def test_verify_empty_checks_is_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--max-n", "4", "--checks", ","], capsys)
+    assert (code, out) == (2, "")
+    assert "no check selected" in err
 
 
 def test_verify_json_schema(capsys):
@@ -221,3 +238,21 @@ def test_exit_codes_confined_to_contract(capsys):
     for args in runs:
         code, _, _ = run_cli(args, capsys)
         assert code in (0, 1, 2), args
+
+
+# --- entry point ------------------------------------------------------------
+
+def _run_module(args):
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(fubinipoly.__file__)))
+    env = {**os.environ, "PYTHONPATH": package_parent}
+    return subprocess.run([sys.executable, "-m", "fubinipoly", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_entry_point_passes_on_exit_codes():
+    proc = _run_module(["compute", "fubini", "--n", "3"])
+    assert (proc.returncode, proc.stdout) == (0, "[0, 1, 6, 6]\n")
+    # an empty check at this bound fails the run; run() must exit with 1
+    proc = _run_module(["verify", "--max-n", "2"])
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1] == "21/22 checks passed"

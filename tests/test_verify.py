@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,19 @@ def test_bounded_checks_clamp_their_range():
     assert run_check("table-fh-fs", 64).n_max == 4
     assert run_check("fubini-numbers", 64).n_max == 8
     assert run_check("table-fh-fs", 2).n_max == 2
+
+
+def test_every_check_yields_indices_in_ascending_order():
+    # run_check stops at the first failing case; that is the smallest
+    # failing index only because every generator scans in ascending order.
+    for check in CHECKS.values():
+        indices = [case[0] for case in check.cases(check.indices(12), random.Random(0))]
+        assert indices == sorted(indices), check.check_id
+
+
+def test_empty_selection_rejected():
+    with pytest.raises(ValueError):
+        run_suite(8, [])
 
 
 def test_unknown_check_id_rejected():
@@ -164,12 +178,6 @@ def test_sf_fault_is_detected(poisoned_sf_entry):
     assert run_check("gregory-newton", 12).status == "fail"
 
 
-def test_sf_fault_witness_is_smallest_even_when_exhaustive(poisoned_sf_entry):
-    short = run_check("fs-at-minus-one", 12)
-    full = run_check("fs-at-minus-one", 12, exhaustive=True)
-    assert short.witness_n == full.witness_n == poisoned_sf_entry
-
-
 def test_bernoulli_fault_is_detected(poisoned_bernoulli_value):
     n = poisoned_bernoulli_value
     report = run_check("worpitzky-integral", 12)
@@ -203,7 +211,7 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
                                                               check_id, witness):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
     with table.override(index, corrupt(table[index])):
-        report = run_check(check_id, 12, exhaustive=True)
+        report = run_check(check_id, 12)
     assert report.status == "fail"
     assert report.witness_n == witness
     assert run_check(check_id, 12).passed
