@@ -7,6 +7,7 @@ everywhere: there is no approximate mode in this library.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -76,6 +77,22 @@ def _coerce(value) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
+
+
+def _ring_result(coeffs: list) -> "Polynomial":
+    """A Polynomial from a list of coefficients that are already exact (sums
+    and products of int/Fraction values), taken over and edited in place.
+    Integral Fractions collapse to int and trailing zeros are trimmed, as in
+    the constructor, but no coefficient is type-checked."""
+    # type(), not isinstance(c, Fraction): that is a slow ABC check on every int.
+    for i, c in enumerate(coeffs):
+        if type(c) is not int and c.denominator == 1:
+            coeffs[i] = c.numerator
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    poly = object.__new__(Polynomial)
+    poly._coeffs = tuple(coeffs)
+    return poly
 
 
 class Polynomial:
@@ -157,12 +174,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial(out)
+        return _ring_result(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
+        return _ring_result([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,7 +195,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
-            return Polynomial([c * other for c in self._coeffs])
+            return _ring_result([c * other for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -190,21 +207,39 @@ class Polynomial:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Polynomial(out)
+        return _ring_result(out)
 
     __rmul__ = __mul__
 
     def __call__(self, point: Rational) -> Rational:
-        """Exact Horner evaluation."""
-        if isinstance(point, float):
+        """Exact Horner evaluation in integers, with one Fraction at the end.
+
+        With the coefficients written as a_i / den over their common
+        denominator and point = p/q, the loop folds the homogenised sum
+        sum_i a_i p^i q^(d-i), so no intermediate value is a Fraction.  The
+        result is an int for an all-int polynomial at an int point and for
+        the zero polynomial, otherwise a Fraction."""
+        if isinstance(point, Fraction):
+            p, q = point.numerator, point.denominator
+        elif isinstance(point, int):
+            p, q = point, 1
+        else:
             raise TypeError("evaluation point must be exact (int or Fraction)")
-        acc: Rational = 0
+        if not self._coeffs:
+            return 0
+        den = math.lcm(*(c.denominator for c in self._coeffs if type(c) is not int))
+        acc = 0
+        q_power = 1     # q^(d-i) while folding coefficient i
         for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+            a = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            acc = acc * p + a * q_power
+            q_power *= q
+        if den == 1 and not isinstance(point, Fraction):
+            return acc
+        return Fraction(acc, den * q_power // q)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _ring_result([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
@@ -217,16 +252,20 @@ class Polynomial:
         return anti(upper) - anti(lower)
 
     def reflect_about(self, alpha: Rational) -> "Polynomial":
-        """The polynomial g with g(x) = f(2*alpha - x), by exact substitution."""
-        mirror = Polynomial([2 * alpha, -1])
-        result = _ZERO
-        power = _ONE
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                result = result + power * c
-            if i + 1 < len(self._coeffs):
-                power = power * mirror
-        return result
+        """The polynomial g with g(x) = f(2*alpha - x).
+
+        A Taylor shift by s = 2*alpha gives h(x) = f(x + s) in O(d^2)
+        in-place steps c[j] += s*c[j+1] (Horner's scheme applied d times; von
+        zur Gathen & Gerhard, ISSAC 1997); then g(x) = h(-x) negates the odd
+        coefficients.  At alpha = -1/2 the shift is the integer -1."""
+        s = _coerce(2 * alpha)
+        c = list(self._coeffs)
+        d = len(c) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += s * c[j + 1]
+        c[1::2] = [-v for v in c[1::2]]
+        return _ring_result(c)
 
     def has_nonneg_int_coeffs(self) -> bool:
         """True iff every coefficient is a nonnegative integer (zero qualifies)."""

@@ -2,9 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import fubinipoly
-from fubinipoly import combinat
+from fubinipoly import combinat, fubini
 from fubinipoly.cli import main
 
 
@@ -41,6 +42,17 @@ def test_compute_lambda_requires_nu(capsys):
     code, _, err = run_cli(["compute", "lambda", "--n", "4"], capsys)
     assert code == 2
     assert "nu" in err
+
+
+def test_compute_lambda_refuses_nu_outside_one_to_n(capsys):
+    for nu in ("0", "5", "9", "-1"):
+        code, out, err = run_cli(["compute", "lambda", "--n", "4", "--nu", nu], capsys)
+        assert (code, out) == (2, ""), nu
+        assert f"error: nu must lie in 1..n: got (n=4, nu={nu})" in err
+    # an invalid n is still reported as such, and the library keeps its zero
+    code, _, err = run_cli(["compute", "lambda", "--n", "0", "--nu", "9"], capsys)
+    assert code == 2 and "n must be a positive integer" in err
+    assert fubini.lambda_poly(4, 9).is_zero()
 
 
 def test_compute_scalar_families(capsys):
@@ -177,6 +189,24 @@ def test_verify_empty_check_fails_the_run(capsys):
     assert code == 1
     assert "empty lambda-reflection  n=3..2" in lines
     assert lines[-1] == "21/22 checks passed"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_verify_40_reproduces_the_golden_output(capsys):
+    """verify --max-n 40 against output recorded before the kernel rewrite
+    (Taylor-shift reflection, integer Horner): the plain text byte for byte,
+    the JSON byte for byte once the run-dependent elapsed_ms is dropped."""
+    args = ["verify", "--max-n", "40", "--checks", "all", "--seed", "0"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify-40.txt").read_text()
+    code, out, _ = run_cli(args + ["--format", "json"], capsys)
+    doc = json.loads(out)
+    for report in doc["reports"]:
+        del report["elapsed_ms"]
+    assert json.dumps(doc) + "\n" == (GOLDEN / "verify-40.json").read_text()
 
 
 # --- table ------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fubinipoly.exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
+from fubinipoly.fubini import lambda_poly
 
 HALF_NEG = Fraction(-1, 2)
 
@@ -115,6 +116,64 @@ def test_eval():
     assert Polynomial([0, 1, 3])(HALF_NEG) == Fraction(1, 4)
 
 
+def _horner_reference(f, point):
+    # Horner over Fractions, one operation at a time: the reference for __call__.
+    acc = 0
+    for c in reversed(f.coefficients):
+        acc = acc * point + c
+    return acc
+
+
+def _random_exact_poly(rng, max_degree):
+    return Polynomial([Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9)))
+                       if rng.random() < 0.5 else rng.randint(-30, 30)
+                       for _ in range(rng.randint(0, max_degree + 1))])
+
+
+def test_eval_matches_reference_horner_in_value_and_type():
+    rng = random.Random(17)
+    points = [0, 1, -1, 7, -12, Fraction(4), Fraction(-3), Fraction(0), HALF_NEG,
+              Fraction(9, 7), Fraction(-22, 15), Fraction(1, 3)]
+    polys = [Polynomial.zero(), Polynomial([5]), Polynomial([Fraction(1, 2)]),
+             Polynomial([3, Fraction(1, 2)]), Polynomial([0, 1, 3, 2])]
+    polys += [_random_exact_poly(rng, 9) for _ in range(120)]
+    polys += [Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]) for _ in range(40)]
+    for f in polys:
+        for point in points:
+            value, expected = f(point), _horner_reference(f, point)
+            assert value == expected and type(value) is type(expected), (f, point)
+    assert type(Polynomial.zero()(HALF_NEG)) is int
+    assert type(Polynomial([0, 1, 3, 2])(5)) is int
+    assert type(Polynomial([0, 1, 3, 2])(Fraction(4))) is Fraction
+
+
+def _is_canonical(f):
+    """No integral Fraction and no trailing zero among the coefficients."""
+    cs = f.coefficients
+    return (all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in cs)
+            and (not cs or cs[-1] != 0))
+
+
+def test_ring_results_are_canonical():
+    half = Polynomial([Fraction(1, 2)])
+    assert (half * 2).coefficients == (1,)
+    assert type((half * 2).coefficients[0]) is int
+    assert (half * 2).has_nonneg_int_coeffs()
+    assert (half + half).coefficients == (1,) and (half + half).has_nonneg_int_coeffs()
+    assert Polynomial([0, Fraction(1, 2)]).derivative().coefficients == (Fraction(1, 2),)
+    assert Polynomial([0, 0, Fraction(1, 2)]).derivative().coefficients == (0, 1)
+    assert Polynomial([2]).antiderivative().coefficients == (0, 2)
+    rng = random.Random(23)
+    for _ in range(150):
+        # halves and small integers, so sums and products are often integral
+        f, g = (Polynomial([Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                            for _ in range(rng.randint(0, 6))]) for _ in range(2))
+        k = rng.choice((0, 2, -4, Fraction(1, 2), Fraction(-3, 2)))
+        for result in (f + g, f - g, -f, f * g, f * k, k * f, f + k, k - f,
+                       f.derivative(), f.antiderivative(), f.reflect_about(HALF_NEG)):
+            assert _is_canonical(result), result
+
+
 def test_definite_integral():
     assert X.definite_integral(-1, 0) == HALF_NEG
     assert Polynomial([0, 1, 2]).definite_integral(-1, 0) == Fraction(1, 6)
@@ -145,6 +204,55 @@ def test_reflect_about_matches_pointwise_substitution():
         alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         t = Fraction(rng.randint(-12, 12), rng.randint(1, 8))
         assert f.reflect_about(alpha)(alpha + t) == f(alpha - t)
+
+
+def _reflect_by_substitution(f, alpha):
+    # sum_i c_i (2*alpha - x)^i with each power built by one more dense
+    # multiplication: the O(d^3) reference for the Taylor-shift reflect_about.
+    mirror = Polynomial([2 * alpha, -1])
+    result = Polynomial.zero()
+    power = Polynomial.one()
+    for c in f.coefficients:
+        result = result + power * c
+        power = power * mirror
+    return result
+
+
+def _in_reflection_class_by_substitution(f, alpha):
+    if f.is_zero():
+        return True
+    if not f.has_nonneg_int_coeffs():
+        return False
+    sign = -1 if f.degree % 2 else 1
+    return _reflect_by_substitution(f, alpha) == f * sign
+
+
+REFLECTION_AXES = (HALF_NEG, 0, Fraction(-3, 2), Fraction(1, 3), Fraction(9, 7))
+
+
+@pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
+def test_reflection_agrees_with_substitution_on_random_polynomials(alpha):
+    rng = random.Random(29)
+    polys = [_random_exact_poly(rng, 10) for _ in range(60)]
+    polys += [Polynomial([rng.randint(0, 5) for _ in range(rng.randint(0, 10))]) for _ in range(60)]
+    polys += [_random_member(rng, rng.randint(0, 4)) for _ in range(60)]
+    memberships = set()
+    for f in polys:
+        assert f.reflect_about(alpha) == _reflect_by_substitution(f, alpha), f
+        member = f.in_reflection_class(alpha)
+        assert member == _in_reflection_class_by_substitution(f, alpha), f
+        memberships.add(member)
+    assert memberships == {True, False}
+
+
+def test_reflection_agrees_with_substitution_on_every_lambda_up_to_40():
+    for n in range(1, 41):
+        for nu in range(1, n + 1):
+            lam = lambda_poly(n, nu)
+            assert lam.reflect_about(HALF_NEG) == _reflect_by_substitution(lam, HALF_NEG), (n, nu)
+            member = lam.in_reflection_class(HALF_NEG)
+            assert member == _in_reflection_class_by_substitution(lam, HALF_NEG), (n, nu)
+            assert member == (nu <= n - 2 or nu == n), (n, nu)
 
 
 def test_has_nonneg_int_coeffs():

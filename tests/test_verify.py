@@ -199,14 +199,21 @@ def _bump_third(row):
 # One corrupted entry per memo table; each row is (table, index, corruption,
 # a check that reads the entry, the smallest index that check can see it at).
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
+# lambda(6,1) + x is read by three checks: the polynomial expansion, the
+# reflection test (x is not symmetric about -1/2) and the value at -1/2.
+def _lambda_6_1_plus_x(row):
+    return (row[0] + Polynomial.x(),) + row[1:]
+
+
 @pytest.mark.parametrize("table,index,corrupt,check_id,witness", [
     (combinat.sf_table, 5, _bump_third, "fs-at-minus-one", 5),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4),
     (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "worpitzky-integral", 6),
     (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4),
-    (fubini.lambda_table, 6, lambda row: (row[0] + Polynomial.x(),) + row[1:],
-     "lambda-expansion", 6),
-], ids=["SF", "H", "B", "B(x)", "lambda"])
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-expansion", 6),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-reflection", 6),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6),
+], ids=["SF", "H", "B", "B(x)", "lambda", "lambda/reflection", "lambda/remainder"])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
