@@ -142,6 +142,8 @@ def binomial_rat(x: Rational, k: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-k+1) / k! for rational x."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("x must be exact (int or Fraction)")
     num = Fraction(1)
     for i in range(k):
         num *= x - i

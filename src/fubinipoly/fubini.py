@@ -15,9 +15,10 @@ polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .combinat import MemoTable, bernoulli, bernoulli_poly, binomial_rat, harmonic, sf_row
+from .combinat import MemoTable, bernoulli, bernoulli_poly, harmonic, sf_row
 from .exactpoly import Polynomial, Rational
 
 _X = Polynomial.x()
@@ -119,13 +120,25 @@ def power_sum_poly(n: int) -> Polynomial:
 
 def power_sum_gn(n: int, x: Rational) -> Fraction:
     """The same power sum evaluated through the finite-difference route
-    S_n(x) = sum_{k=0..n} SF(n,k) C(x, k+1)."""
+    S_n(x) = sum_{k=0..n} SF(n,k) C(x, k+1), always as a Fraction.
+
+    With x = p/q, C(x, k+1) = prod_{i=0..k} (p - i q) / (q^(k+1) (k+1)!), so
+    over the common denominator q^(n+1) (n+1)! term k has the integer
+    numerator SF(n,k) prod_{i=0..k} (p - i q) q^(n-k) (n+1)!/(k+1)!.  The
+    loop adds these up in integers, Horner-fashion: before term k joins,
+    the partial sum is multiplied by q (k+1), the ratio of the weights
+    q^(n-k) (n+1)!/(k+1)! of terms k-1 and k.  Nothing is divided until the
+    one Fraction formed at the end.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("x must be exact (int or Fraction)")
+    p, q = x.numerator, x.denominator
     row = sf_row(n)
-    total = Fraction(0)
-    coeff = binomial_rat(x, 1)
+    acc = 0
+    falling = 1     # prod_{i=0..k} (p - i q)
     for k in range(n + 1):
-        total += row[k] * coeff
-        coeff = coeff * (x - (k + 1)) / (k + 2)  # C(x,k+2) from C(x,k+1)
-    return total
+        falling *= p - k * q
+        acc = acc * q * (k + 1) + row[k] * falling
+    return Fraction(acc, q ** (n + 1) * math.factorial(n + 1))

@@ -8,6 +8,7 @@ Randomized checks draw from a seeded generator and record the seed.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -206,16 +207,21 @@ def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
 
 
 def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
-    binom_polys = [Polynomial.one()]
-    for k in range(1, ns.stop):
-        binom_polys.append(binom_polys[-1] * Polynomial([-(k - 1), 1]) * Fraction(1, k))
+    # C(x,k) = (x)_k / k! with the integer falling factorial
+    # (x)_k = x(x-1)...(x-k+1), so n! * sum_k SF(n,k) C(x,k) is the integer
+    # polynomial sum_k SF(n,k) (n!/k!) (x)_k.  It is summed by Horner's
+    # scheme in the Newton basis, (x)_(k+1) = (x)_k (x - k), and each
+    # coefficient is divided by n! once at the end.
     for n in ns:
         row = sf_row(n)
-        total = Polynomial.zero()
-        for k in range(n + 1):
-            if row[k]:
-                total = total + binom_polys[k] * row[k]
-        yield n, total, Polynomial.monomial(1, n)
+        acc = [row[n]]
+        weight = 1      # n!/k!
+        for k in range(n - 1, -1, -1):
+            weight *= k + 1
+            acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+            acc[0] += row[k] * weight
+        den = math.factorial(n)
+        yield n, Polynomial([Fraction(a, den) for a in acc]), Polynomial.monomial(1, n)
 
 
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:

@@ -125,6 +125,14 @@ def test_binomial_rat():
             assert binomial_rat(m, k) == binomial(m, k)
 
 
+@pytest.mark.parametrize("x", [0.5, 3.0, "1/2", None], ids=repr)
+def test_binomial_rat_refuses_inexact_points(x):
+    with pytest.raises(TypeError):
+        binomial_rat(x, 2)
+    with pytest.raises(TypeError):
+        binomial_rat(x, 0)
+
+
 # --- Bernoulli numbers -------------------------------------------------------------
 
 # classic values, cross-computed by both routes below before freezing

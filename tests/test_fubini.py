@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.combinat import harmonic, sf
+from fubinipoly.combinat import binomial_rat, harmonic, sf, sf_row
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import (
     fubini_direct,
@@ -212,3 +212,32 @@ def test_power_sum_routes_agree_at_random_rationals():
         for _ in range(20):
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             assert p(x) == power_sum_gn(n, x)
+
+
+def _power_sum_gn_by_fraction_steps(n, x):
+    # The Fraction-per-step reference for the integer power_sum_gn: C(x,k+1)
+    # and the running total advanced one gcd-normalised step at a time.
+    row = sf_row(n)
+    total = Fraction(0)
+    coeff = binomial_rat(x, 1)
+    for k in range(n + 1):
+        total += row[k] * coeff
+        coeff = coeff * (x - (k + 1)) / (k + 2)
+    return total
+
+
+def test_power_sum_gn_matches_fraction_step_oracle():
+    rng = random.Random(41)
+    for n in range(0, 61):
+        points = [0, Fraction(0), -1, -2, -7, Fraction(-5), 3]
+        points += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(6)]
+        for x in points:
+            value = power_sum_gn(n, x)
+            assert type(value) is Fraction, (n, x)
+            assert value == _power_sum_gn_by_fraction_steps(n, x), (n, x)
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, "1/2", None], ids=repr)
+def test_power_sum_gn_refuses_inexact_points(x):
+    with pytest.raises(TypeError):
+        power_sum_gn(2, x)

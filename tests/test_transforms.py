@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,6 +107,27 @@ def test_hfubini_via_derivatives_small():
 def test_hfubini_via_derivatives_equals_direct():
     for n in range(1, 41):
         assert hfubini_via_derivatives(n) == hfubini_direct(n)
+
+
+def _hfubini_via_derivatives_by_fraction_steps(n):
+    # The reference for the integer route: each derivative times a Fraction
+    # monomial through Polynomial.__mul__, summed as Fraction polynomials.
+    deriv = fubini_direct(n)
+    result = Polynomial.zero()
+    for v in range(1, n + 1):
+        deriv = deriv.derivative()
+        result = result + Polynomial.monomial(Fraction(1, math.factorial(v) * v)
+                                              * (-1) ** (v + 1), v) * deriv
+    return result
+
+
+def test_hfubini_via_derivatives_matches_fraction_step_oracle():
+    for n in range(1, 61):
+        got = hfubini_via_derivatives(n)
+        want = _hfubini_via_derivatives_by_fraction_steps(n)
+        assert got == want, n
+        # same canonical form: integral coefficients stored as int
+        assert [type(c) for c in got] == [type(c) for c in want], n
 
 
 def test_hfubini_via_derivatives_rejects_zero():

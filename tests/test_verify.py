@@ -197,28 +197,66 @@ def _bump_third(row):
 
 
 # One corrupted entry per memo table; each row is (table, index, corruption,
-# a check that reads the entry, the smallest index that check can see it at).
+# a check that reads the entry, the smallest index that check can see it at,
+# and the two sides it then reports).
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
 # lambda(6,1) + x is read by three checks: the polynomial expansion, the
 # reflection test (x is not symmetric about -1/2) and the value at -1/2.
+# fh-derivative-form cannot see an SF corruption, by design: both of its
+# sides read the same SF row, and the identity holds coefficient by
+# coefficient for any row, so only its harmonic side is in the matrix.
 def _lambda_6_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
 
-@pytest.mark.parametrize("table,index,corrupt,check_id,witness", [
-    (combinat.sf_table, 5, _bump_third, "fs-at-minus-one", 5),
-    (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4),
-    (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "worpitzky-integral", 6),
-    (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-expansion", 6),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-reflection", 6),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6),
-], ids=["SF", "H", "B", "B(x)", "lambda", "lambda/reflection", "lambda/remainder"])
+@pytest.mark.parametrize("table,index,corrupt,check_id,witness,lhs,rhs", [
+    (combinat.sf_table, 5, _bump_third, "fs-at-minus-one", 5, "0", "-1"),
+    (combinat.sf_table, 5, _bump_third, "gregory-newton", 5,
+     "[0, -1/2, 1/2, 0, 0, 1]", "[0, 0, 0, 0, 0, 1]"),
+    (combinat.sf_table, 5, _bump_third, "power-sum-agree", 5, "21067599/128", "21043127/128"),
+    (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
+    (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
+     "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
+    (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "worpitzky-integral", 6,
+     "1/42", "5/14"),
+    (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4,
+     "24619/125000", "-381/125000"),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
+     "[0, 1, 94, 990, 3250, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
+], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form", "B", "B(x)",
+        "lambda", "lambda/reflection", "lambda/remainder"])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
-                                                              check_id, witness):
+                                                              check_id, witness, lhs, rhs):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
     with table.override(index, corrupt(table[index])):
         report = run_check(check_id, 12)
     assert report.status == "fail"
     assert report.witness_n == witness
+    assert (report.lhs, report.rhs) == (lhs, rhs)
     assert run_check(check_id, 12).passed
+
+
+def _gregory_newton_cases_by_fraction_steps(ns):
+    # The reference for the integer route: the C(x,k) as Fraction-coefficient
+    # polynomials, summed one Polynomial addition at a time.
+    binom_polys = [Polynomial.one()]
+    for k in range(1, ns.stop):
+        binom_polys.append(binom_polys[-1] * Polynomial([-(k - 1), 1]) * Fraction(1, k))
+    for n in ns:
+        row = combinat.sf_row(n)
+        total = Polynomial.zero()
+        for k in range(n + 1):
+            if row[k]:
+                total = total + binom_polys[k] * row[k]
+        yield n, total, Polynomial.monomial(1, n)
+
+
+def test_gregory_newton_cases_match_fraction_step_oracle():
+    ns = range(1, 61)
+    got = list(CHECKS["gregory-newton"].cases(ns, random.Random(0)))
+    want = list(_gregory_newton_cases_by_fraction_steps(ns))
+    assert got == want
+    for (_, lhs, _), (_, ref, _) in zip(got, want):
+        assert [type(c) for c in lhs] == [type(c) for c in ref]
