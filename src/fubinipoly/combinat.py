@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Callable, Iterator, List, Sequence
 
-from .exactpoly import Polynomial, Rational
+from .exactpoly import Polynomial, Rational, exact
 
 
 class MemoTable:
@@ -142,8 +142,7 @@ def binomial_rat(x: Rational, k: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-k+1) / k! for rational x."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError("x must be exact (int or Fraction)")
+    x = exact(x)
     num = Fraction(1)
     for i in range(k):
         num *= x - i

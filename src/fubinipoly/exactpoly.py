@@ -34,12 +34,23 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def exact(value) -> Rational:
+    """The one exactness gate: ``value`` in canonical form, or ``TypeError``.
+
+    An ``int`` (``bool`` included) is returned unchanged, an integral
+    ``Fraction`` collapses to its ``int`` and any other ``Fraction`` is
+    returned unchanged.  Anything else, such as a float or a string, is
+    refused."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"exact value required (int or Fraction), got {type(value).__name__}")
+
+
 def format_rational(value: Rational) -> str:
     """Render a scalar as the reduced ``"p/q"`` string, or bare ``"p"`` for integers."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(exact(value)))
 
 
 def format_value(value) -> str:
@@ -70,43 +81,28 @@ def json_value(value):
     return value
 
 
-def _coerce(value) -> Rational:
-    """Normalize a coefficient: integral Fractions collapse to int, floats are refused."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
-
-
-def _ring_result(coeffs: list) -> "Polynomial":
-    """A Polynomial from a list of coefficients that are already exact (sums
-    and products of int/Fraction values), taken over and edited in place.
-    Integral Fractions collapse to int and trailing zeros are trimmed, as in
-    the constructor, but no coefficient is type-checked."""
-    # type(), not isinstance(c, Fraction): that is a slow ABC check on every int.
-    for i, c in enumerate(coeffs):
-        if type(c) is not int and c.denominator == 1:
-            coeffs[i] = c.numerator
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    poly = object.__new__(Polynomial)
-    poly._coeffs = tuple(coeffs)
-    return poly
-
-
 class Polynomial:
     """Immutable dense polynomial; ``coefficients[i]`` is the coefficient of x^i.
 
-    Trailing zeros are trimmed at construction, so the zero polynomial stores
-    an empty tuple and reports ``degree is None``.
+    Every coefficient passes :func:`exact` at construction, and trailing
+    zeros are trimmed, so the zero polynomial stores an empty tuple and
+    reports ``degree is None``.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Rational] = ()):
-        coeffs = [_coerce(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
+        coeffs = list(coefficients)
+        for i, c in enumerate(coeffs):
+            # type(), not isinstance(c, Fraction): that is a slow ABC check on every int.
+            if type(c) is int:
+                continue
+            if type(c) is Fraction:
+                if c.denominator == 1:
+                    coeffs[i] = c.numerator
+            else:
+                coeffs[i] = exact(c)
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
@@ -127,6 +123,7 @@ class Polynomial:
         """The polynomial ``coefficient * x**power``."""
         if power < 0:
             raise ValueError("power must be nonnegative")
+        coefficient = exact(coefficient)
         if coefficient == 0:
             return _ZERO
         return cls([0] * power + [coefficient])
@@ -174,12 +171,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return _ring_result(out)
+        return Polynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _ring_result([-c for c in self._coeffs])
+        return Polynomial([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,7 +192,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
-            return _ring_result([c * other for c in self._coeffs])
+            return Polynomial([c * other for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -207,7 +204,7 @@ class Polynomial:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return _ring_result(out)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -219,12 +216,8 @@ class Polynomial:
         sum_i a_i p^i q^(d-i), so no intermediate value is a Fraction.  The
         result is an int for an all-int polynomial at an int point and for
         the zero polynomial, otherwise a Fraction."""
-        if isinstance(point, Fraction):
-            p, q = point.numerator, point.denominator
-        elif isinstance(point, int):
-            p, q = point, 1
-        else:
-            raise TypeError("evaluation point must be exact (int or Fraction)")
+        exact(point)    # not its canonical form: an integral Fraction point gives a Fraction
+        p, q = point.numerator, point.denominator
         if not self._coeffs:
             return 0
         den = math.lcm(*(c.denominator for c in self._coeffs if type(c) is not int))
@@ -234,12 +227,12 @@ class Polynomial:
             a = c * den if type(c) is int else c.numerator * (den // c.denominator)
             acc = acc * p + a * q_power
             q_power *= q
-        if den == 1 and not isinstance(point, Fraction):
+        if den == 1 and isinstance(point, int):
             return acc
         return Fraction(acc, den * q_power // q)
 
     def derivative(self) -> "Polynomial":
-        return _ring_result([i * c for i, c in enumerate(self._coeffs)][1:])
+        return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
@@ -258,14 +251,14 @@ class Polynomial:
         in-place steps c[j] += s*c[j+1] (Horner's scheme applied d times; von
         zur Gathen & Gerhard, ISSAC 1997); then g(x) = h(-x) negates the odd
         coefficients.  At alpha = -1/2 the shift is the integer -1."""
-        s = _coerce(2 * alpha)
+        s = exact(2 * alpha)
         c = list(self._coeffs)
         d = len(c) - 1
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 c[j] += s * c[j + 1]
         c[1::2] = [-v for v in c[1::2]]
-        return _ring_result(c)
+        return Polynomial(c)
 
     def has_nonneg_int_coeffs(self) -> bool:
         """True iff every coefficient is a nonnegative integer (zero qualifies)."""

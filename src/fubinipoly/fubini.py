@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .combinat import MemoTable, bernoulli, bernoulli_poly, harmonic, sf_row
-from .exactpoly import Polynomial, Rational
+from .exactpoly import Polynomial, Rational, exact
 
 _X = Polynomial.x()
 _X2_PLUS_X = Polynomial([0, 1, 1])
@@ -132,8 +132,7 @@ def power_sum_gn(n: int, x: Rational) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError("x must be exact (int or Fraction)")
+    x = exact(x)
     p, q = x.numerator, x.denominator
     row = sf_row(n)
     acc = 0

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .combinat import binomial
-from .exactpoly import Polynomial, Rational
+from .exactpoly import Polynomial, Rational, exact
 from .fubini import fubini_direct
 
 RationalSeq = Tuple[Rational, ...]
@@ -20,8 +20,11 @@ RationalSeq = Tuple[Rational, ...]
 def binomial_transform(seq: Sequence[Rational]) -> RationalSeq:
     """Alternating binomial transform t_n = sum_{k=0..n} C(n,k) (-1)^k s_k.
 
-    Self-inverse: applying it twice returns the original sequence.
+    Self-inverse: applying it twice returns the original sequence.  An entry
+    that is not an ``int`` or ``Fraction`` is refused before any work.
     """
+    for value in seq:
+        exact(value)
     out = []
     for n in range(len(seq)):
         total = 0
@@ -56,8 +59,7 @@ def euler_hadamard(f: Polynomial, g: Polynomial) -> Polynomial:
     deriv = g
     for v in range(n + 1):
         if transformed[v] != 0:
-            scale = Fraction(transformed[v], math.factorial(v)) \
-                if isinstance(transformed[v], int) else transformed[v] / math.factorial(v)
+            scale = Fraction(transformed[v], math.factorial(v))
             if v % 2:
                 scale = -scale
             result = result + Polynomial.monomial(scale, v) * deriv
@@ -81,8 +83,6 @@ def hfubini_via_derivatives(n: int) -> Polynomial:
     integer.  Term v is scaled by the integer D/v and added shifted by v,
     and each coefficient becomes one Fraction over D at the end.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     scaled = list(fubini_direct(n).coefficients)   # coefficients of F_n^(v)/v!
     den = math.lcm(*range(1, n + 1))
     acc = [0] * (n + 1)

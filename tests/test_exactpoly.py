@@ -5,6 +5,7 @@ import pytest
 
 from fubinipoly.exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
 from fubinipoly.fubini import lambda_poly
+from fubinipoly.transforms import binomial_transform
 
 HALF_NEG = Fraction(-1, 2)
 
@@ -70,10 +71,25 @@ def test_integral_fractions_collapse_to_int():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        Polynomial([0.5])
-    with pytest.raises(TypeError):
-        Polynomial([0, 1])(0.5)
+    # Every entry point behind the exactness gate, one inexact value at a time.
+    for x in (0.0, 0.5, 3.0, "1/2", None):
+        entry_points = {
+            "Polynomial": lambda: Polynomial([x]),
+            "__call__": lambda: Polynomial([0, 1])(x),
+            "reflect_about": lambda: Polynomial([0, 1]).reflect_about(x),
+            "monomial": lambda: Polynomial.monomial(x, 2),
+            "definite_integral": lambda: Polynomial([0, 1]).definite_integral(0, x),
+            "format_rational": lambda: format_rational(x),
+            "binomial_transform": lambda: binomial_transform([1, x]),
+        }
+        for name, call in entry_points.items():
+            try:
+                call()
+            except TypeError:
+                continue
+            pytest.fail(f"{name} accepted {x!r}")
+    # The gate checks entries without canonicalising them.
+    assert [type(v) for v in binomial_transform((Fraction(2),))] == [Fraction]
 
 
 # --- arithmetic ---------------------------------------------------------------

@@ -1,0 +1,62 @@
+"""Ring laws of Polynomial, and the canonical form of every result, by property.
+
+hypothesis is a test-only dependency: without it this module is skipped.
+"""
+from fractions import Fraction
+
+import pytest
+
+from fubinipoly.exactpoly import Polynomial
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+# Small denominators, so that sums and products are often integral and the
+# collapse of integral Fractions to int is exercised.
+scalars = st.one_of(st.integers(-12, 12),
+                    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+polys = st.lists(scalars, max_size=7).map(Polynomial)
+
+
+def _assert_canonical(*results):
+    """No integral Fraction and no trailing zero among the coefficients."""
+    for f in results:
+        cs = f.coefficients
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in cs), f
+        assert not cs or cs[-1] != 0, f
+
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_add_and_mul_are_commutative_and_associative(f, g, h):
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    _assert_canonical(f, f + g, f * g, (f + g) + h, (f * g) * h)
+
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_mul_distributes_over_add(f, g, h):
+    assert f * (g + h) == f * g + f * h
+    assert (g + h) * f == g * f + h * f
+
+
+@PROPERTY
+@given(polys, scalars)
+def test_negation_and_scalar_mul(f, k):
+    assert (f - f).is_zero()
+    assert f + (-f) == Polynomial.zero()
+    assert f * k == k * f == Polynomial([k]) * f
+    _assert_canonical(-f, f - f, f * k, k * f, f + k, k - f)
+
+
+@PROPERTY
+@given(polys, polys)
+def test_derivative_obeys_the_product_rule(f, g):
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+    assert (f + g).derivative() == f.derivative() + g.derivative()
+    _assert_canonical(f.derivative(), (f * g).derivative())
