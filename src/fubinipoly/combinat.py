@@ -10,6 +10,7 @@ and cross-checked by two independent algorithms (see :func:`bernoulli` and
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
@@ -95,7 +96,7 @@ bernoulli_poly_table = MemoTable(
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks."""
-    if n < 0 or k < 0:
+    if operator.index(n) < 0 or operator.index(k) < 0:
         raise ValueError("arguments must be nonnegative")
     if k > n:
         raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
@@ -105,7 +106,7 @@ def stirling2(n: int, k: int) -> int:
 def sf(n: int, k: int) -> int:
     """The scaled Stirling number k! * S2(n, k), counting ordered partitions
     of an n-set into k blocks; computed by its own triangle recurrence."""
-    if n < 0 or k < 0:
+    if operator.index(n) < 0 or operator.index(k) < 0:
         raise ValueError("arguments must be nonnegative")
     if k > n:
         raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
@@ -114,7 +115,7 @@ def sf(n: int, k: int) -> int:
 
 def sf_row(n: int) -> tuple:
     """Row n of the scaled-Stirling triangle: (SF(n,0), ..., SF(n,n))."""
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"negative row index: {n}")
     return sf_table[n]
 
@@ -124,7 +125,7 @@ def harmonic(n: int) -> Fraction:
 
     n = 0 is rejected: no formula in this library evaluates H_0.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"harmonic(n) requires n >= 1, got {n}")
     return harmonic_table[n]
 
@@ -156,7 +157,7 @@ def bernoulli(n: int) -> Fraction:
     (Worpitzky's summation), B_0 = 1.  Values are memoized; the independent
     Akiyama-Tanigawa route exists purely as a cross-check.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("n must be nonnegative")
     return bernoulli_table[n]
 
@@ -181,6 +182,6 @@ def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x): B_0(x) = 1, B_n'(x) = n*B_{n-1}(x),
     constant term B_n(0) = B_n.  Built by antidifferentiation plus constant
     fixing; results are memoized."""
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("n must be nonnegative")
     return bernoulli_poly_table[n]

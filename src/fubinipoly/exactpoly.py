@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
@@ -264,20 +265,62 @@ class Polynomial:
         """True iff every coefficient is a nonnegative integer (zero qualifies)."""
         return all(isinstance(c, int) and c >= 0 for c in self._coeffs)
 
+    def reflection_parts(self, alpha: Rational) -> "tuple[Polynomial, Polynomial]":
+        """The unique pair (A, B) with f(x) = A(u) + x*B(u), u = x^2 - 2*alpha*x.
+
+        The reflection x -> 2*alpha - x fixes u, so f is symmetric about
+        alpha exactly when B = 0 and antisymmetric exactly when 2A = s*B,
+        where s = -2*alpha.
+
+        At s = 0, A holds the even and B the odd coefficients.  Otherwise
+        the substitution x = s*y gives u = s^2 (y^2 + y), and g(y) = f(s*y)
+        is divided by y^2 + y again and again.  Written in the coefficients
+        e_j = (-1)^j g_j = c_j (-s)^j, each division is one suffix sum: e_0
+        is the remainder's constant term, minus the sum of e_1, e_2, ... its
+        coefficient of y, and the suffix sums from e_2, e_3, ... on are the
+        e_j of the quotient.  The k-th remainder divided by s^(2k), and by
+        s^(2k+1), gives A_k and B_k; at alpha = -1/2 (s = 1) nothing is
+        divided."""
+        s = exact(-2 * alpha)
+        c = self._coeffs
+        if s == 0:
+            return Polynomial(c[0::2]), Polynomial(c[1::2])
+        e = list(c)
+        if s != 1:
+            t = -s
+            e = [v * t ** j for j, v in enumerate(e)]
+        else:
+            e[1::2] = [-v for v in e[1::2]]
+        rev = e[::-1]       # e_d, ..., e_0, so each step pops from the end
+        a, b = [], []
+        while rev:
+            a.append(rev.pop())
+            rev = list(accumulate(rev))
+            b.append(-rev.pop() if rev else 0)
+        if s != 1:
+            inv = 1 / Fraction(s)
+            a = [v * inv ** (2 * k) for k, v in enumerate(a)]
+            b = [v * inv ** (2 * k + 1) for k, v in enumerate(b)]
+        return Polynomial(a), Polynomial(b)
+
     def in_reflection_class(self, alpha: Rational) -> bool:
         """Membership in the reflection class at axis alpha.
 
         A nonzero member has nonnegative integer coefficients and satisfies
         f(alpha + t) = (-1)^deg(f) * f(alpha - t), decided here as an exact
-        coefficient identity (never by sampling).  The zero polynomial is a
-        member by convention.  Odd-degree members necessarily vanish at alpha.
+        coefficient identity on :meth:`reflection_parts` (never by sampling).
+        The zero polynomial is a member by convention.  Odd-degree members
+        necessarily vanish at alpha.
         """
+        s = exact(-2 * alpha)
         if self.is_zero():
             return True
         if not self.has_nonneg_int_coeffs():
             return False
-        sign = -1 if self.degree % 2 else 1
-        return self.reflect_about(alpha) == self * sign
+        a, b = self.reflection_parts(alpha)
+        if self.degree % 2 == 0:
+            return b.is_zero()
+        return a * 2 == b * s
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)!r})"

@@ -16,6 +16,7 @@ polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .combinat import MemoTable, bernoulli, bernoulli_poly, harmonic, sf_row
@@ -26,7 +27,7 @@ _X2_PLUS_X = Polynomial([0, 1, 1])
 
 
 def _require_positive(n: int) -> None:
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
@@ -85,7 +86,7 @@ lambda_table = MemoTable([(), (Polynomial.one(),)], _lambda_row)
 def lambda_poly(n: int, nu: int) -> Polynomial:
     """Connection polynomial lambda(n, nu); zero for nu outside 1..n."""
     _require_positive(n)
-    if nu < 1 or nu > n:
+    if operator.index(nu) < 1 or nu > n:
         return Polynomial.zero()
     return lambda_table[n][nu - 1]
 
@@ -113,7 +114,7 @@ def remainder_R(n: int) -> Polynomial:
 def power_sum_poly(n: int) -> Polynomial:
     """The degree-(n+1) polynomial with S_n(m) = sum_{v=0..m-1} v^n at
     integer points, realized as (B_{n+1}(x) - B_{n+1}) / (n+1)."""
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("n must be nonnegative")
     return (bernoulli_poly(n + 1) - bernoulli(n + 1)) * Fraction(1, n + 1)
 
@@ -130,7 +131,7 @@ def power_sum_gn(n: int, x: Rational) -> Fraction:
     q^(n-k) (n+1)!/(k+1)! of terms k-1 and k.  Nothing is divided until the
     one Fraction formed at the end.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("n must be nonnegative")
     x = exact(x)
     p, q = x.numerator, x.denominator

@@ -109,13 +109,43 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_poly(n)(_MINUS_HALF), Fraction(0)
 
 
+def _times_u(p: Polynomial) -> Polynomial:
+    return Polynomial((0,) + p.coefficients)
+
+
+def _split_product(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial):
+    """The reflection parts at -1/2 of (A(u) + x B(u)) (C(u) + x D(u)),
+    u = x^2 + x, using x^2 = u - x.  A symmetric factor (B = 0) and an
+    antisymmetric one (B = 2A) each cost two half-size products."""
+    if b.is_zero():
+        return a * c, a * d
+    if b == a * 2:
+        ac, ad = a * c, a * d
+        return ac + _times_u(ad * 2), ac * 2 - ad
+    bd = b * d
+    return a * c + _times_u(bd), a * d + b * c - bd
+
+
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
-    fs = [None] + [fubini_direct(v) for v in range(1, ns.stop)]
+    # Both sides are compared in their reflection parts at -1/2, a linear
+    # bijection, so they agree exactly when the polynomials do; a mismatch
+    # is rebuilt in the x-basis at that n alone, for the report.
+    fs = [None] + [fubini_direct(v).reflection_parts(_MINUS_HALF) for v in range(1, ns.stop)]
     for n in ns:
-        total = Polynomial.zero()
+        total_a = total_b = Polynomial.zero()
         for v in range(1, n + 1):
-            total = total + lambda_poly(n, v) * fs[v]
-        yield n, total, hfubini_direct(n)
+            a, b = lambda_poly(n, v).reflection_parts(_MINUS_HALF)
+            term_a, term_b = _split_product(a, b, *fs[v])
+            total_a, total_b = total_a + term_a, total_b + term_b
+        hfubini = hfubini_direct(n)
+        parts = hfubini.reflection_parts(_MINUS_HALF)
+        if (total_a, total_b) == parts:
+            yield n, (total_a, total_b), parts
+        else:
+            total = Polynomial.zero()
+            for v in range(1, n + 1):
+                total = total + lambda_poly(n, v) * fubini_direct(v)
+            yield n, total, hfubini
 
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:

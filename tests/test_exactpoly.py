@@ -271,6 +271,52 @@ def test_reflection_agrees_with_substitution_on_every_lambda_up_to_40():
             assert member == (nu <= n - 2 or nu == n), (n, nu)
 
 
+def _compose(p, q):
+    """p(q(x)) by Horner's scheme in polynomials."""
+    result = Polynomial.zero()
+    for c in reversed(p.coefficients):
+        result = result * q + c
+    return result
+
+
+def _from_reflection_parts(a, b, alpha):
+    u = Polynomial([0, -2 * alpha, 1])
+    return _compose(a, u) + X * _compose(b, u)
+
+
+@pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
+def test_reflection_parts_round_trip_on_random_polynomials(alpha):
+    rng = random.Random(29)
+    polys = [_random_exact_poly(rng, 10) for _ in range(60)]
+    polys += [Polynomial([rng.randint(0, 5) for _ in range(rng.randint(0, 10))]) for _ in range(60)]
+    polys += [_random_member(rng, rng.randint(0, 4)) for _ in range(60)]
+    for f in polys:
+        a, b = f.reflection_parts(alpha)
+        assert _from_reflection_parts(a, b, alpha) == f, f
+
+
+def test_reflection_parts_round_trip_on_every_lambda_up_to_40():
+    for n in range(1, 41):
+        for nu in range(1, n + 1):
+            lam = lambda_poly(n, nu)
+            a, b = lam.reflection_parts(HALF_NEG)
+            assert _from_reflection_parts(a, b, HALF_NEG) == lam, (n, nu)
+            assert all(type(c) is int for c in a.coefficients + b.coefficients), (n, nu)
+
+
+def test_reflection_parts_small_cases():
+    assert Polynomial([0, 1, 1]).reflection_parts(HALF_NEG) == (Polynomial([0, 1]), Polynomial.zero())
+    assert Polynomial([1, 2]).reflection_parts(HALF_NEG) == (Polynomial([1]), Polynomial([2]))
+    assert Polynomial([0, 0, 1]).reflection_parts(HALF_NEG) == (Polynomial([0, 1]), Polynomial([-1]))
+    assert Polynomial([5, 4, 3, 2]).reflection_parts(0) == (Polynomial([5, 3]), Polynomial([4, 2]))
+    assert Polynomial.zero().reflection_parts(Fraction(9, 7)) == (Polynomial.zero(), Polynomial.zero())
+    # The axis passes the exactness gate even where the answer needs no split.
+    for f in (X, Polynomial.zero(), Polynomial([-1])):
+        for call in (f.reflection_parts, f.in_reflection_class):
+            with pytest.raises(TypeError):
+                call(0.5)
+
+
 def test_has_nonneg_int_coeffs():
     assert Polynomial([0, 1, 1]).has_nonneg_int_coeffs()
     assert not Polynomial([-1, 1]).has_nonneg_int_coeffs()

@@ -1,4 +1,5 @@
-"""Ring laws of Polynomial, and the canonical form of every result, by property.
+"""Ring laws of Polynomial, the canonical form of every result, and the
+reflection-parts round trip, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
 """
@@ -60,3 +61,21 @@ def test_derivative_obeys_the_product_rule(f, g):
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
     assert (f + g).derivative() == f.derivative() + g.derivative()
     _assert_canonical(f.derivative(), (f * g).derivative())
+
+
+def _compose(p, q):
+    result = Polynomial.zero()
+    for c in reversed(p.coefficients):
+        result = result * q + c
+    return result
+
+
+@PROPERTY
+@given(polys, scalars)
+def test_reflection_parts_round_trip(f, alpha):
+    # f = A(u) + x B(u) with u = x^2 - 2 alpha x, and the split is unique
+    # because B(u) has even and x B(u) odd degree in x.
+    a, b = f.reflection_parts(alpha)
+    u = Polynomial([0, -2 * alpha, 1])
+    assert _compose(a, u) + Polynomial.x() * _compose(b, u) == f
+    _assert_canonical(a, b)

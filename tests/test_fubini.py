@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fubinipoly import combinat, fubini
 from fubinipoly.combinat import binomial_rat, harmonic, sf, sf_row
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import (
@@ -241,3 +242,30 @@ def test_power_sum_gn_matches_fraction_step_oracle():
 def test_power_sum_gn_refuses_inexact_points(x):
     with pytest.raises(TypeError):
         power_sum_gn(2, x)
+
+
+
+# Every public reader of a memo table, given an index past the table's last
+# row where one argument is not an int: it must refuse before the table grows.
+@pytest.mark.parametrize("fn,table,make_args", [
+    (combinat.stirling2, combinat.stirling2_table, lambda top: (float(top), 1)),
+    (combinat.stirling2, combinat.stirling2_table, lambda top: (top, 1.0)),
+    (combinat.sf, combinat.sf_table, lambda top: (float(top), 1)),
+    (combinat.sf, combinat.sf_table, lambda top: (top, Fraction(1))),
+    (combinat.sf_row, combinat.sf_table, lambda top: (float(top),)),
+    (combinat.harmonic, combinat.harmonic_table, lambda top: (float(top),)),
+    (combinat.bernoulli, combinat.bernoulli_table, lambda top: (float(top),)),
+    (combinat.bernoulli_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
+    (fubini_direct, combinat.sf_table, lambda top: (float(top),)),
+    (lambda_poly, fubini.lambda_table, lambda top: (float(top), 1)),
+    (lambda_poly, fubini.lambda_table, lambda top: (top, 1.0)),
+    (power_sum_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
+    (power_sum_gn, combinat.sf_table, lambda top: (float(top), 2)),
+], ids=["stirling2-n", "stirling2-k", "sf-n", "sf-k", "sf_row", "harmonic", "bernoulli",
+        "bernoulli_poly", "fubini_direct", "lambda_poly-n", "lambda_poly-nu",
+        "power_sum_poly", "power_sum_gn"])
+def test_non_int_index_is_refused_before_any_table_grows(fn, table, make_args):
+    rows = len(table._rows)
+    with pytest.raises(TypeError):
+        fn(*make_args(rows + 20))
+    assert len(table._rows) == rows

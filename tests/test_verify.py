@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, fubini
+from fubinipoly import combinat, fubini, verify
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
     CHECK_IDS,
@@ -209,6 +209,17 @@ def _lambda_6_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
 
+# Corruptions that stay in the reflection class at -1/2, so only the
+# polynomial expansion can see them: x^2 + x is symmetric (its part B is 0)
+# and 2x^3 + 3x^2 + x = (2x+1)(x^2+x) antisymmetric (B = 2A).
+def _lambda_6_2_plus_symmetric(row):
+    return (row[0], row[1] + Polynomial([0, 1, 1])) + row[2:]
+
+
+def _lambda_6_1_plus_antisymmetric(row):
+    return (row[0] + Polynomial([0, 1, 3, 2]),) + row[1:]
+
+
 @pytest.mark.parametrize("table,index,corrupt,check_id,witness,lhs,rhs", [
     (combinat.sf_table, 5, _bump_third, "fs-at-minus-one", 5, "0", "-1"),
     (combinat.sf_table, 5, _bump_third, "gregory-newton", 5,
@@ -225,8 +236,13 @@ def _lambda_6_1_plus_x(row):
      "[0, 1, 94, 990, 3250, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
     (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
     (fubini.lambda_table, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
+    (fubini.lambda_table, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
+     "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+    (fubini.lambda_table, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
+     "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form", "B", "B(x)",
-        "lambda", "lambda/reflection", "lambda/remainder"])
+        "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
+        "lambda/antisymmetric-entry"])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
@@ -236,6 +252,29 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
     assert report.witness_n == witness
     assert (report.lhs, report.rhs) == (lhs, rhs)
     assert run_check(check_id, 12).passed
+
+
+def test_lambda_expansion_decides_every_clean_case_in_the_split():
+    # A mismatch of the splits is re-decided in the x-basis, which would hide
+    # a wrong split product behind a passing (only slower) check.
+    for n, lhs, rhs in CHECKS["lambda-expansion"].cases(range(1, 41), random.Random(0)):
+        assert type(lhs) is tuple and lhs == rhs, n
+
+
+def test_split_product_is_the_split_of_the_product():
+    half = Fraction(-1, 2)
+    rng = random.Random(31)
+    symmetric, antisymmetric = Polynomial([0, 1, 1]), Polynomial([1, 2])
+    polys = [Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]) for _ in range(40)]
+    for _ in range(40):
+        f = Polynomial([rng.randint(1, 5)])
+        for _ in range(rng.randint(0, 4)):
+            f = f * rng.choice((symmetric, antisymmetric))
+        polys.append(f)
+    for f in polys:
+        for g in rng.sample(polys, 8):
+            got = verify._split_product(*f.reflection_parts(half), *g.reflection_parts(half))
+            assert got == (f * g).reflection_parts(half), (f, g)
 
 
 def _gregory_newton_cases_by_fraction_steps(ns):
