@@ -270,7 +270,12 @@ class Polynomial:
 
         The reflection x -> 2*alpha - x fixes u, so f is symmetric about
         alpha exactly when B = 0 and antisymmetric exactly when 2A = s*B,
-        where s = -2*alpha.
+        where s = -2*alpha.  :meth:`from_reflection_parts` is the inverse and
+        :func:`reflection_parts_product` multiplies in this form."""
+        return self._reflection_parts(exact(-2 * alpha))
+
+    def _reflection_parts(self, s: Rational) -> "tuple[Polynomial, Polynomial]":
+        """:meth:`reflection_parts` for the gated s = -2*alpha.
 
         At s = 0, A holds the even and B the odd coefficients.  Otherwise
         the substitution x = s*y gives u = s^2 (y^2 + y), and g(y) = f(s*y)
@@ -281,7 +286,6 @@ class Polynomial:
         e_j of the quotient.  The k-th remainder divided by s^(2k), and by
         s^(2k+1), gives A_k and B_k; at alpha = -1/2 (s = 1) nothing is
         divided."""
-        s = exact(-2 * alpha)
         c = self._coeffs
         if s == 0:
             return Polynomial(c[0::2]), Polynomial(c[1::2])
@@ -303,6 +307,17 @@ class Polynomial:
             b = [v * inv ** (2 * k + 1) for k, v in enumerate(b)]
         return Polynomial(a), Polynomial(b)
 
+    @classmethod
+    def from_reflection_parts(cls, a: "Polynomial", b: "Polynomial", alpha: Rational) -> "Polynomial":
+        """The polynomial A(u) + x*B(u), u = x^2 - 2*alpha*x: the inverse of
+        :meth:`reflection_parts`, by Horner's scheme in u on the terms
+        A_k + x*B_k."""
+        u = cls([0, exact(-2 * alpha), 1])
+        acc = _ZERO
+        for k in reversed(range(max(len(a._coeffs), len(b._coeffs)))):
+            acc = acc * u + cls([a.coefficient(k), b.coefficient(k)])
+        return acc
+
     def in_reflection_class(self, alpha: Rational) -> bool:
         """Membership in the reflection class at axis alpha.
 
@@ -317,7 +332,7 @@ class Polynomial:
             return True
         if not self.has_nonneg_int_coeffs():
             return False
-        a, b = self.reflection_parts(alpha)
+        a, b = self._reflection_parts(s)
         if self.degree % 2 == 0:
             return b.is_zero()
         return a * 2 == b * s
@@ -329,3 +344,30 @@ class Polynomial:
 _ZERO = Polynomial()
 _ONE = Polynomial([1])
 _X = Polynomial([0, 1])
+
+
+def _times_u(p: Polynomial) -> Polynomial:
+    return Polynomial((0,) + p._coeffs)
+
+
+def reflection_parts_product(left: "tuple[Polynomial, Polynomial]",
+                             right: "tuple[Polynomial, Polynomial]",
+                             alpha: Rational) -> "tuple[Polynomial, Polynomial]":
+    """The reflection parts of f*g from left = (A, B) of f and right = (C, D) of g.
+
+    With u = x^2 + s*x, s = -2*alpha, the product is
+    (AC + u BD) + x (AD + BC - s BD).  A symmetric left factor (B = 0) and an
+    antisymmetric one (B = (2/s) A) each cost two half-size products; no
+    factor is assumed to be either."""
+    s = exact(-2 * alpha)
+    a, b = left
+    c, d = right
+    if b.is_zero():
+        return a * c, a * d
+    if s != 0:
+        k = exact(Fraction(2) / s)
+        if b == a * k:
+            ac, ad = a * c, a * d
+            return ac + _times_u(ad * k), ac * k - ad
+    bd = b * d
+    return a * c + _times_u(bd), a * d + b * c - bd * s

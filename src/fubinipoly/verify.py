@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row
-from .exactpoly import Polynomial, format_value
+from .exactpoly import Polynomial, format_value, reflection_parts_product
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -109,43 +109,23 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_poly(n)(_MINUS_HALF), Fraction(0)
 
 
-def _times_u(p: Polynomial) -> Polynomial:
-    return Polynomial((0,) + p.coefficients)
-
-
-def _split_product(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial):
-    """The reflection parts at -1/2 of (A(u) + x B(u)) (C(u) + x D(u)),
-    u = x^2 + x, using x^2 = u - x.  A symmetric factor (B = 0) and an
-    antisymmetric one (B = 2A) each cost two half-size products."""
-    if b.is_zero():
-        return a * c, a * d
-    if b == a * 2:
-        ac, ad = a * c, a * d
-        return ac + _times_u(ad * 2), ac * 2 - ad
-    bd = b * d
-    return a * c + _times_u(bd), a * d + b * c - bd
-
-
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
     # Both sides are compared in their reflection parts at -1/2, a linear
     # bijection, so they agree exactly when the polynomials do; a mismatch
-    # is rebuilt in the x-basis at that n alone, for the report.
+    # is reported as the summed parts rebuilt in the x-basis.
     fs = [None] + [fubini_direct(v).reflection_parts(_MINUS_HALF) for v in range(1, ns.stop)]
     for n in ns:
         total_a = total_b = Polynomial.zero()
         for v in range(1, n + 1):
-            a, b = lambda_poly(n, v).reflection_parts(_MINUS_HALF)
-            term_a, term_b = _split_product(a, b, *fs[v])
+            term_a, term_b = reflection_parts_product(
+                lambda_poly(n, v).reflection_parts(_MINUS_HALF), fs[v], _MINUS_HALF)
             total_a, total_b = total_a + term_a, total_b + term_b
         hfubini = hfubini_direct(n)
         parts = hfubini.reflection_parts(_MINUS_HALF)
         if (total_a, total_b) == parts:
             yield n, (total_a, total_b), parts
         else:
-            total = Polynomial.zero()
-            for v in range(1, n + 1):
-                total = total + lambda_poly(n, v) * fubini_direct(v)
-            yield n, total, hfubini
+            yield n, Polynomial.from_reflection_parts(total_a, total_b, _MINUS_HALF), hfubini
 
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
+from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, json_value, parse_rational,
+                                  reflection_parts_product)
 from fubinipoly.fubini import lambda_poly
 from fubinipoly.transforms import binomial_transform
 
@@ -271,19 +272,6 @@ def test_reflection_agrees_with_substitution_on_every_lambda_up_to_40():
             assert member == (nu <= n - 2 or nu == n), (n, nu)
 
 
-def _compose(p, q):
-    """p(q(x)) by Horner's scheme in polynomials."""
-    result = Polynomial.zero()
-    for c in reversed(p.coefficients):
-        result = result * q + c
-    return result
-
-
-def _from_reflection_parts(a, b, alpha):
-    u = Polynomial([0, -2 * alpha, 1])
-    return _compose(a, u) + X * _compose(b, u)
-
-
 @pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
 def test_reflection_parts_round_trip_on_random_polynomials(alpha):
     rng = random.Random(29)
@@ -292,7 +280,7 @@ def test_reflection_parts_round_trip_on_random_polynomials(alpha):
     polys += [_random_member(rng, rng.randint(0, 4)) for _ in range(60)]
     for f in polys:
         a, b = f.reflection_parts(alpha)
-        assert _from_reflection_parts(a, b, alpha) == f, f
+        assert Polynomial.from_reflection_parts(a, b, alpha) == f, f
 
 
 def test_reflection_parts_round_trip_on_every_lambda_up_to_40():
@@ -300,7 +288,7 @@ def test_reflection_parts_round_trip_on_every_lambda_up_to_40():
         for nu in range(1, n + 1):
             lam = lambda_poly(n, nu)
             a, b = lam.reflection_parts(HALF_NEG)
-            assert _from_reflection_parts(a, b, HALF_NEG) == lam, (n, nu)
+            assert Polynomial.from_reflection_parts(a, b, HALF_NEG) == lam, (n, nu)
             assert all(type(c) is int for c in a.coefficients + b.coefficients), (n, nu)
 
 
@@ -315,6 +303,42 @@ def test_reflection_parts_small_cases():
         for call in (f.reflection_parts, f.in_reflection_class):
             with pytest.raises(TypeError):
                 call(0.5)
+
+
+@pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
+def test_from_reflection_parts_evaluates_to_the_definition(alpha):
+    # A(u) + x B(u) at a point, with u evaluated there: no composition involved.
+    rng = random.Random(37)
+    for _ in range(60):
+        a, b = _random_exact_poly(rng, 5), _random_exact_poly(rng, 5)
+        f = Polynomial.from_reflection_parts(a, b, alpha)
+        for _ in range(3):
+            t = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            u = t * t - 2 * alpha * t
+            assert f(t) == a(u) + t * b(u), (a, b, t)
+    assert Polynomial.from_reflection_parts(Polynomial([0, 1]), Polynomial.zero(), HALF_NEG) \
+        == Polynomial([0, 1, 1])
+    assert Polynomial.from_reflection_parts(Polynomial.zero(), Polynomial.zero(), 0) == Polynomial.zero()
+    with pytest.raises(TypeError):
+        Polynomial.from_reflection_parts(X, X, 0.5)
+
+
+@pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
+def test_reflection_parts_product_is_the_parts_of_the_product(alpha):
+    # Products of the axis' symmetric u = x^2 - 2 alpha x and antisymmetric
+    # x - alpha reach the two shortcuts; the random polynomials the generic path.
+    rng = random.Random(31)
+    symmetric, antisymmetric = Polynomial([0, -2 * alpha, 1]), Polynomial([-alpha, 1])
+    polys = [_random_exact_poly(rng, 8) for _ in range(30)]
+    for _ in range(30):
+        f = Polynomial([rng.randint(1, 5)])
+        for _ in range(rng.randint(0, 4)):
+            f = f * rng.choice((symmetric, antisymmetric))
+        polys.append(f)
+    for f in polys:
+        for g in rng.sample(polys, 6):
+            got = reflection_parts_product(f.reflection_parts(alpha), g.reflection_parts(alpha), alpha)
+            assert got == (f * g).reflection_parts(alpha), (f, g)
 
 
 def test_has_nonneg_int_coeffs():

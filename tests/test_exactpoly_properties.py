@@ -1,5 +1,5 @@
 """Ring laws of Polynomial, the canonical form of every result, and the
-reflection-parts round trip, by property.
+reflection-parts round trip and product, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
 """
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import Polynomial
+from fubinipoly.exactpoly import Polynomial, reflection_parts_product
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -63,19 +63,18 @@ def test_derivative_obeys_the_product_rule(f, g):
     _assert_canonical(f.derivative(), (f * g).derivative())
 
 
-def _compose(p, q):
-    result = Polynomial.zero()
-    for c in reversed(p.coefficients):
-        result = result * q + c
-    return result
-
-
 @PROPERTY
 @given(polys, scalars)
 def test_reflection_parts_round_trip(f, alpha):
     # f = A(u) + x B(u) with u = x^2 - 2 alpha x, and the split is unique
     # because B(u) has even and x B(u) odd degree in x.
     a, b = f.reflection_parts(alpha)
-    u = Polynomial([0, -2 * alpha, 1])
-    assert _compose(a, u) + Polynomial.x() * _compose(b, u) == f
+    assert Polynomial.from_reflection_parts(a, b, alpha) == f
     _assert_canonical(a, b)
+
+
+@PROPERTY
+@given(polys, polys, scalars)
+def test_reflection_parts_product_is_the_parts_of_the_product(f, g, alpha):
+    got = reflection_parts_product(f.reflection_parts(alpha), g.reflection_parts(alpha), alpha)
+    assert got == (f * g).reflection_parts(alpha)

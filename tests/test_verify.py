@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, fubini, verify
+from fubinipoly import combinat, fubini
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
     CHECK_IDS,
@@ -252,29 +252,6 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
     assert report.witness_n == witness
     assert (report.lhs, report.rhs) == (lhs, rhs)
     assert run_check(check_id, 12).passed
-
-
-def test_lambda_expansion_decides_every_clean_case_in_the_split():
-    # A mismatch of the splits is re-decided in the x-basis, which would hide
-    # a wrong split product behind a passing (only slower) check.
-    for n, lhs, rhs in CHECKS["lambda-expansion"].cases(range(1, 41), random.Random(0)):
-        assert type(lhs) is tuple and lhs == rhs, n
-
-
-def test_split_product_is_the_split_of_the_product():
-    half = Fraction(-1, 2)
-    rng = random.Random(31)
-    symmetric, antisymmetric = Polynomial([0, 1, 1]), Polynomial([1, 2])
-    polys = [Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]) for _ in range(40)]
-    for _ in range(40):
-        f = Polynomial([rng.randint(1, 5)])
-        for _ in range(rng.randint(0, 4)):
-            f = f * rng.choice((symmetric, antisymmetric))
-        polys.append(f)
-    for f in polys:
-        for g in rng.sample(polys, 8):
-            got = verify._split_product(*f.reflection_parts(half), *g.reflection_parts(half))
-            assert got == (f * g).reflection_parts(half), (f, g)
 
 
 def _gregory_newton_cases_by_fraction_steps(ns):
