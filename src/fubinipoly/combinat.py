@@ -74,14 +74,30 @@ def _sf_row(prev: Sequence, n: int) -> tuple:
                  for k in range(n + 1))
 
 
+def worpitzky_sum(terms: Sequence[Rational]) -> Fraction:
+    """The alternating sum sum_{v=1..n} (-1)^v x_v / (v+1) of
+    ``terms = (x_1, ..., x_n)``, as one Fraction.
+
+    Each x_v is split by divmod into q (v+1) + r with 0 <= r <= v (for a
+    Fraction x_v, q is an int and r a Fraction).  The quotients are summed
+    as they are and the remainders over den = lcm(2..n+1), the lcm of the
+    denominators v+1, so nothing is reduced by a gcd until the one Fraction
+    formed at the end."""
+    den = math.lcm(*range(2, len(terms) + 2))
+    whole = part = 0
+    for v, x in enumerate(terms, 1):
+        q, r = divmod(x, v + 1)
+        r *= den // (v + 1)
+        if v % 2:
+            whole, part = whole - q, part - r
+        else:
+            whole, part = whole + q, part + r
+    return Fraction(whole * den + part, den)
+
+
 def _bernoulli_value(prev: Fraction, n: int) -> Fraction:
     # B_n = sum_{v=1..n} SF(n,v) (-1)^v / (v+1), read from the SF table itself
-    row = sf_table[n]
-    total = Fraction(0)
-    for v in range(1, n + 1):
-        term = Fraction(row[v], v + 1)
-        total += -term if v % 2 else term
-    return total
+    return worpitzky_sum(sf_table[n][1:])
 
 
 stirling2_table = MemoTable([(1,)], _stirling2_row)

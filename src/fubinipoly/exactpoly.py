@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Union
 Rational = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_INT_ONLY = frozenset({int})
 
 
 def parse_rational(text: str) -> Fraction:
@@ -47,6 +48,19 @@ def exact(value) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact value required (int or Fraction), got {type(value).__name__}")
+
+
+def int_times(k: int, value: Rational) -> Rational:
+    """The product ``k * value`` of an int and an exact scalar, canonical.
+
+    When the denominator q of ``value`` divides k, as it does for k = SF(n, v)
+    and ``value`` = H_v, the product is the int (k // q) * numerator, found by
+    one divmod and no gcd.  Otherwise it is the Fraction product, so the
+    result is exact for any k and ``value``."""
+    quotient, remainder = divmod(k, exact(value).denominator)
+    if remainder:
+        return exact(k * value)
+    return quotient * value.numerator
 
 
 def format_rational(value: Rational) -> str:
@@ -94,15 +108,17 @@ class Polynomial:
 
     def __init__(self, coefficients: Iterable[Rational] = ()):
         coeffs = list(coefficients)
-        for i, c in enumerate(coeffs):
-            # type(), not isinstance(c, Fraction): that is a slow ABC check on every int.
-            if type(c) is int:
-                continue
-            if type(c) is Fraction:
-                if c.denominator == 1:
-                    coeffs[i] = c.numerator
-            else:
-                coeffs[i] = exact(c)
+        # type(), not isinstance(c, Fraction): that is a slow ABC check on every
+        # int.  An all-int list, the common case, is passed by one C-level scan.
+        if not _INT_ONLY.issuperset(map(type, coeffs)):
+            for i, c in enumerate(coeffs):
+                if type(c) is int:
+                    continue
+                if type(c) is Fraction:
+                    if c.denominator == 1:
+                        coeffs[i] = c.numerator
+                else:
+                    coeffs[i] = exact(c)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self._coeffs = tuple(coeffs)

@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 
 from .combinat import MemoTable, bernoulli, bernoulli_poly, harmonic, sf_row
-from .exactpoly import Polynomial, Rational, exact
+from .exactpoly import Polynomial, Rational, exact, int_times
 
 _X = Polynomial.x()
 _X2_PLUS_X = Polynomial([0, 1, 1])
@@ -47,10 +47,15 @@ def fubini_rec(n: int) -> Polynomial:
 
 
 def hfubini_direct(n: int) -> Polynomial:
-    """Fhat_n straight from the definition: coefficient of x^v is SF(n, v) * H_v."""
+    """Fhat_n straight from the definition: coefficient of x^v is SF(n, v) * H_v.
+
+    Each coefficient is an int: the denominator of H_v divides lcm(1..v),
+    which divides v! and so SF(n, v).  :func:`int_times` finds it by one
+    exact division, and keeps the Fraction product for an entry where the
+    division leaves a remainder."""
     _require_positive(n)
     row = sf_row(n)
-    return Polynomial([0] + [row[v] * harmonic(v) for v in range(1, n + 1)])
+    return Polynomial([0] + [int_times(row[v], harmonic(v)) for v in range(1, n + 1)])
 
 
 def hfubini_rec(n: int) -> Polynomial:
@@ -93,10 +98,11 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
 
 def psi_poly(n: int) -> Polynomial:
     """The combination sum_{v=1..n} SF(n,v) ((v-1) H_v + (n-1)) x^v, which
-    vanishes at x = -1/2 for odd n."""
+    vanishes at x = -1/2 for odd n.  Its coefficients are ints, found by the
+    same exact division as in :func:`hfubini_direct`."""
     _require_positive(n)
     row = sf_row(n)
-    return Polynomial([0] + [row[v] * ((v - 1) * harmonic(v) + (n - 1))
+    return Polynomial([0] + [(v - 1) * int_times(row[v], harmonic(v)) + (n - 1) * row[v]
                              for v in range(1, n + 1)])
 
 

@@ -7,10 +7,10 @@ conventions never get tangled.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .combinat import binomial
 from .exactpoly import Polynomial, Rational, exact
 from .fubini import fubini_direct
 
@@ -21,17 +21,24 @@ def binomial_transform(seq: Sequence[Rational]) -> RationalSeq:
     """Alternating binomial transform t_n = sum_{k=0..n} C(n,k) (-1)^k s_k.
 
     Self-inverse: applying it twice returns the original sequence.  An entry
-    that is not an ``int`` or ``Fraction`` is refused before any work.
+    that is not an ``int`` or ``Fraction`` is refused before any work.  Entry
+    t_n is a Fraction exactly when some entry up to index n is one.
+
+    The entries are scaled to ints over the lcm of their denominators.  With
+    the backward difference (d s)_k = s_k - s_(k+1), t_n is the first entry
+    of the n-th difference row, so Pascal's rule is applied one row at a
+    time by subtraction alone: no binomial coefficient is formed and nothing
+    is divided until the one Fraction per entry at the end.
     """
-    for value in seq:
-        exact(value)
+    values = [exact(value) for value in seq]
+    den = math.lcm(*(v.denominator for v in values))
+    row = [v.numerator * (den // v.denominator) for v in values]
+    first_fraction = next((k for k, value in enumerate(seq) if isinstance(value, Fraction)),
+                          len(seq))
     out = []
-    for n in range(len(seq)):
-        total = 0
-        for k in range(n + 1):
-            term = binomial(n, k) * seq[k]
-            total = total - term if k % 2 else total + term
-        out.append(total)
+    for n in range(len(row)):
+        out.append(row[0] // den if n < first_fraction else Fraction(row[0], den))
+        row = list(map(operator.sub, row, row[1:]))
     return tuple(out)
 
 

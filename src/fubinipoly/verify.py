@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .combinat import bernoulli, harmonic, sf_row
-from .exactpoly import Polynomial, format_value, reflection_parts_product
+from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
+from .exactpoly import Polynomial, format_value, int_times, reflection_parts_product
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -209,10 +209,7 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         row = sf_row(n)
-        total = Fraction(0)
-        for v in range(1, n + 1):
-            term = row[v] * harmonic(v) / (v + 1)
-            total += -term if v % 2 else term
+        total = worpitzky_sum([int_times(row[v], harmonic(v)) for v in range(1, n + 1)])
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
 

@@ -16,6 +16,7 @@ from fubinipoly.combinat import (
     sf,
     sf_row,
     stirling2,
+    worpitzky_sum,
 )
 from fubinipoly.exactpoly import Polynomial
 
@@ -162,6 +163,35 @@ def test_bernoulli_odd_vanish():
 def test_bernoulli_two_routes_agree():
     for n in range(0, 61):
         assert bernoulli(n) == bernoulli_akiyama_tanigawa(n)
+
+
+def _worpitzky_sum_by_fraction_steps(terms):
+    # The Fraction-per-step reference: each term normalised by a gcd as it joins.
+    total = Fraction(0)
+    for v, x in enumerate(terms, 1):
+        term = Fraction(x) / (v + 1)
+        total += -term if v % 2 else term
+    return total
+
+
+def test_bernoulli_matches_fraction_step_worpitzky_oracle():
+    assert type(bernoulli(0)) is Fraction
+    for n in range(1, 61):
+        value = bernoulli(n)
+        assert type(value) is Fraction, n
+        assert value == _worpitzky_sum_by_fraction_steps(sf_row(n)[1:]), n
+
+
+def test_worpitzky_sum_on_random_terms():
+    rng = random.Random(17)
+    assert worpitzky_sum(()) == 0 and type(worpitzky_sum(())) is Fraction
+    for _ in range(200):
+        length = rng.randint(1, 30)
+        terms = [rng.randint(-10 ** 12, 10 ** 12) if rng.random() < 0.6
+                 else Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(length)]
+        value = worpitzky_sum(terms)
+        assert type(value) is Fraction
+        assert value == _worpitzky_sum_by_fraction_steps(terms), terms
 
 
 def test_bernoulli_rejects_negative():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, json_value, parse_rational,
-                                  reflection_parts_product)
+from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, int_times, json_value,
+                                  parse_rational, reflection_parts_product)
 from fubinipoly.fubini import lambda_poly
 from fubinipoly.transforms import binomial_transform
 
@@ -69,6 +69,31 @@ def test_integral_fractions_collapse_to_int():
     p = Polynomial([Fraction(4, 2), Fraction(1, 3)])
     assert p.coefficients == (2, Fraction(1, 3))
     assert isinstance(p.coefficients[0], int)
+
+
+def test_int_only_and_mixed_coefficient_lists_are_canonical():
+    assert Polynomial([3, -1, 0, 0]).coefficients == (3, -1)
+    assert Polynomial((0, 0)).coefficients == ()
+    mixed = Polynomial([1, Fraction(6, 3), True, Fraction(0), Fraction(1, 2)])
+    assert mixed.coefficients == (1, 2, True, 0, Fraction(1, 2))
+    assert [type(c) for c in mixed] == [int, int, bool, int, Fraction]
+    with pytest.raises(TypeError):
+        Polynomial([1, 2, 3.0])
+
+
+def test_int_times_matches_the_fraction_product():
+    rng = random.Random(31)
+    values = [0, 1, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 1), Fraction(49, 20)]
+    values += [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(40)]
+    for value in values:
+        for k in (0, 1, -1, 2, 12, -60, 720, rng.randint(-10 ** 30, 10 ** 30)):
+            got = int_times(k, value)
+            want = k * Fraction(value)
+            assert got == want, (k, value)
+            # canonical: an int exactly when the product is integral
+            assert type(got) is (int if want.denominator == 1 else Fraction), (k, value)
+    with pytest.raises(TypeError):
+        int_times(2, 0.5)
 
 
 def test_floats_rejected():

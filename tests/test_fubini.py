@@ -156,6 +156,36 @@ def test_psi_vanishes_at_center_for_odd_n():
         assert psi_poly(n)(MINUS_HALF) == 0
 
 
+def _hfubini_direct_by_fraction_steps(n):
+    # The Fraction-product reference for the exact-division hfubini_direct.
+    row = sf_row(n)
+    return Polynomial([0] + [row[v] * harmonic(v) for v in range(1, n + 1)])
+
+
+def _psi_poly_by_fraction_steps(n):
+    row = sf_row(n)
+    return Polynomial([0] + [row[v] * ((v - 1) * harmonic(v) + (n - 1)) for v in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("route,reference", [
+    (hfubini_direct, _hfubini_direct_by_fraction_steps),
+    (psi_poly, _psi_poly_by_fraction_steps),
+], ids=["hfubini_direct", "psi_poly"])
+def test_exact_division_routes_match_fraction_step_oracle(route, reference):
+    for n in range(1, 61):
+        got, want = route(n), reference(n)
+        assert got == want, n
+        assert [type(c) for c in got] == [type(c) for c in want], n
+    # A harmonic entry whose denominator 84 does not divide SF(n, 4) takes the
+    # Fraction product, so the corrupted coefficient stays exact.
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + Fraction(1, 7)):
+        for n in range(1, 13):
+            got, want = route(n), reference(n)
+            assert got == want, n
+            assert [type(c) for c in got] == [type(c) for c in want], n
+        assert type(route(5).coefficient(4)) is Fraction
+
+
 def test_psi_rejects_zero():
     with pytest.raises(ValueError):
         psi_poly(0)

@@ -39,6 +39,41 @@ def test_transform_preserves_length():
         assert len(binomial_transform(_random_seq(rng, length))) == length
 
 
+def _binomial_transform_by_fraction_steps(seq):
+    # The reference for the integer difference-table route: each C(n,k) from
+    # math.comb times the entry, summed one Fraction step at a time.
+    out = []
+    for n in range(len(seq)):
+        total = 0
+        for k in range(n + 1):
+            term = math.comb(n, k) * seq[k]
+            total = total - term if k % 2 else total + term
+        out.append(total)
+    return tuple(out)
+
+
+def test_transform_matches_fraction_step_oracle_in_value_and_type():
+    rng = random.Random(5)
+    seqs = [(), (Fraction(2),), (Fraction(0),), (3, -1), (1, 2, Fraction(4, 2), 5),
+            (7, 7, Fraction(1, 3), 0, 1)]
+    for _ in range(120):
+        length = rng.randint(1, 40)
+        kind = rng.choice(("rational", "int", "mixed"))
+        if kind == "rational":
+            seq = _random_seq(rng, length)
+        elif kind == "int":
+            seq = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(length))
+        else:
+            seq = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 20)) if rng.random() < 0.3
+                        else rng.randint(-99, 99) for _ in range(length))
+        seqs.append(seq)
+    for seq in seqs:
+        got = binomial_transform(seq)
+        want = _binomial_transform_by_fraction_steps(seq)
+        assert got == want, seq
+        assert [type(t) for t in got] == [type(t) for t in want], seq
+
+
 def test_transform_of_harmonic_numbers():
     seq = (Fraction(0),) + tuple(harmonic(k) for k in range(1, 65))
     transformed = binomial_transform(seq)

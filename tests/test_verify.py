@@ -228,6 +228,12 @@ def _lambda_6_1_plus_antisymmetric(row):
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
      "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
+    # H_4 + 1/7 has denominator 84, which divides no SF(n, 4), so the routes
+    # that divide SF(n, v) by the denominator of H_v take the Fraction product.
+    (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "fh-at-minus-one", 4, "52/7", "4"),
+    (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "cor-psi-odd", 5, "45/7", "0"),
+    (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "drv-fh-bn", 4, "24/35", "0"),
+    (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "bt-harmonic", 4, "-3/28", "-1/4"),
     (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "worpitzky-integral", 6,
      "1/42", "5/14"),
     (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4,
@@ -240,7 +246,8 @@ def _lambda_6_1_plus_antisymmetric(row):
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
     (fubini.lambda_table, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
-], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form", "B", "B(x)",
+], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
+        "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
         "lambda/antisymmetric-entry"])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
@@ -276,3 +283,28 @@ def test_gregory_newton_cases_match_fraction_step_oracle():
     assert got == want
     for (_, lhs, _), (_, ref, _) in zip(got, want):
         assert [type(c) for c in lhs] == [type(c) for c in ref]
+
+
+def _drv_fh_bn_cases_by_fraction_steps(ns):
+    # The reference for the one-denominator sum: each term SF(n,v) H_v / (v+1)
+    # a Fraction, added one gcd-normalised step at a time.
+    for n in ns:
+        row = combinat.sf_row(n)
+        total = Fraction(0)
+        for v in range(1, n + 1):
+            term = row[v] * combinat.harmonic(v) / (v + 1)
+            total += -term if v % 2 else term
+        yield n, total, -Fraction(n, 2) * combinat.bernoulli(n - 1)
+
+
+def test_drv_fh_bn_cases_match_fraction_step_oracle():
+    ns = range(1, 61)
+    got = list(CHECKS["drv-fh-bn"].cases(ns, random.Random(0)))
+    want = list(_drv_fh_bn_cases_by_fraction_steps(ns))
+    assert got == want
+    for (_, lhs, _), (_, ref, _) in zip(got, want):
+        assert type(lhs) is type(ref) is Fraction
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + Fraction(1, 7)):
+        ns = range(1, 13)
+        assert (list(CHECKS["drv-fh-bn"].cases(ns, random.Random(0)))
+                == list(_drv_fh_bn_cases_by_fraction_steps(ns)))
