@@ -287,11 +287,7 @@ class Polynomial:
         The reflection x -> 2*alpha - x fixes u, so f is symmetric about
         alpha exactly when B = 0 and antisymmetric exactly when 2A = s*B,
         where s = -2*alpha.  :meth:`from_reflection_parts` is the inverse and
-        :func:`reflection_parts_product` multiplies in this form."""
-        return self._reflection_parts(exact(-2 * alpha))
-
-    def _reflection_parts(self, s: Rational) -> "tuple[Polynomial, Polynomial]":
-        """:meth:`reflection_parts` for the gated s = -2*alpha.
+        :func:`reflection_parts_product` multiplies in this form.
 
         At s = 0, A holds the even and B the odd coefficients.  Otherwise
         the substitution x = s*y gives u = s^2 (y^2 + y), and g(y) = f(s*y)
@@ -302,6 +298,7 @@ class Polynomial:
         e_j of the quotient.  The k-th remainder divided by s^(2k), and by
         s^(2k+1), gives A_k and B_k; at alpha = -1/2 (s = 1) nothing is
         divided."""
+        s = exact(-2 * alpha)
         c = self._coeffs
         if s == 0:
             return Polynomial(c[0::2]), Polynomial(c[1::2])
@@ -343,15 +340,7 @@ class Polynomial:
         The zero polynomial is a member by convention.  Odd-degree members
         necessarily vanish at alpha.
         """
-        s = exact(-2 * alpha)
-        if self.is_zero():
-            return True
-        if not self.has_nonneg_int_coeffs():
-            return False
-        a, b = self._reflection_parts(s)
-        if self.degree % 2 == 0:
-            return b.is_zero()
-        return a * 2 == b * s
+        return reflection_class_member(self, self.reflection_parts(alpha), alpha)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)!r})"
@@ -364,6 +353,23 @@ _X = Polynomial([0, 1])
 
 def _times_u(p: Polynomial) -> Polynomial:
     return Polynomial((0,) + p._coeffs)
+
+
+def reflection_class_member(f: Polynomial, parts: "tuple[Polynomial, Polynomial]",
+                            alpha: Rational) -> bool:
+    """:meth:`Polynomial.in_reflection_class` decided from ``parts``, which
+    must be ``f.reflection_parts(alpha)``: a caller that already holds the
+    split does not make it again.  The zero polynomial is a member; else f
+    needs nonnegative integer coefficients and B = 0 (even degree) or
+    2A = s*B (odd degree), s = -2*alpha."""
+    if f.is_zero():
+        return True
+    if not f.has_nonneg_int_coeffs():
+        return False
+    a, b = parts
+    if f.degree % 2 == 0:
+        return b.is_zero()
+    return a * 2 == b * exact(-2 * alpha)
 
 
 def reflection_parts_product(left: "tuple[Polynomial, Polynomial]",

@@ -98,11 +98,17 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
 
 def psi_poly(n: int) -> Polynomial:
     """The combination sum_{v=1..n} SF(n,v) ((v-1) H_v + (n-1)) x^v, which
-    vanishes at x = -1/2 for odd n.  Its coefficients are ints, found by the
-    same exact division as in :func:`hfubini_direct`."""
+    vanishes at x = -1/2 for odd n, built by :func:`psi_from_hfubini` from
+    Fhat_n."""
     _require_positive(n)
+    return psi_from_hfubini(n, hfubini_direct(n))
+
+
+def psi_from_hfubini(n: int, fhat: Polynomial) -> Polynomial:
+    """psi_n from ``fhat`` = Fhat_n: with T_v = SF(n,v) H_v its coefficient
+    of x^v, the coefficient of x^v in psi_n is (v-1) T_v + (n-1) SF(n,v)."""
     row = sf_row(n)
-    return Polynomial([0] + [(v - 1) * int_times(row[v], harmonic(v)) + (n - 1) * row[v]
+    return Polynomial([0] + [(v - 1) * fhat.coefficient(v) + (n - 1) * row[v]
                              for v in range(1, n + 1)])
 
 

@@ -11,19 +11,25 @@ from __future__ import annotations
 import math
 import random
 import time
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
-from .exactpoly import Polynomial, format_value, int_times, reflection_parts_product
+from .exactpoly import (
+    Polynomial,
+    format_value,
+    reflection_class_member,
+    reflection_parts_product,
+)
 from .fubini import (
     fubini_direct,
     hfubini_direct,
     lambda_poly,
     power_sum_gn,
     power_sum_poly,
-    psi_poly,
+    psi_from_hfubini,
 )
 from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_via_derivatives
 
@@ -68,6 +74,42 @@ class IdentityReport:
         return asdict(self)
 
 
+# --- rows shared within a pass -----------------------------------------------
+
+# A pass advances its checks together, index by index (see _run_pass).  At
+# index n, a check pulling its next case reads the row of n + 1, or of n + 2
+# when it steps by two, and a check with several cases at one index keeps
+# its row itself; so two rows of each kind serve every read of a pass, and
+# each row is built once.
+PASS_ROWS_PER_KIND = 2
+
+# For the running pass, build -> {n: build(n)}; None outside a pass.
+_pass_rows: ContextVar[Optional[Dict[Callable, Dict[int, object]]]] = ContextVar(
+    "fubinipoly_pass_rows", default=None)
+
+
+def _row(build: Callable[[int], object], n: int):
+    """build(n), built once and kept while it is among the last
+    PASS_ROWS_PER_KIND rows of its kind that the running pass asked for;
+    outside a pass, built afresh on every call.  The store lives only as
+    long as its pass, so a memo-table override made between passes always
+    reaches the rows."""
+    store = _pass_rows.get()
+    if store is None:
+        return build(n)
+    rows = store.setdefault(build, {})
+    if n not in rows:
+        if len(rows) == PASS_ROWS_PER_KIND:
+            del rows[min(rows)]
+        rows[n] = build(n)
+    return rows[n]
+
+
+def _lambda_parts(n: int) -> tuple:
+    """The reflection parts at -1/2 of lambda(n, 1) .. lambda(n, n)."""
+    return tuple(lambda_poly(n, v).reflection_parts(_MINUS_HALF) for v in range(1, n + 1))
+
+
 # --- check bodies ----------------------------------------------------------
 
 
@@ -78,7 +120,7 @@ def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, hfubini_direct(n)(-1), Fraction((-1) ** n * n)
+        yield n, _row(hfubini_direct, n)(-1), Fraction((-1) ** n * n)
 
 
 def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -95,32 +137,31 @@ def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         rhs = -Fraction(n, 2) * bernoulli(n - 1)
-        yield n, hfubini_direct(n).definite_integral(-1, 0), rhs
+        yield n, _row(hfubini_direct, n).definite_integral(-1, 0), rhs
 
 
 def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         rhs = -Fraction(n - 1, 2) * fubini_direct(n - 1)(_MINUS_HALF)
-        yield n, hfubini_direct(n)(_MINUS_HALF), rhs
+        yield n, _row(hfubini_direct, n)(_MINUS_HALF), rhs
 
 
 def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, psi_poly(n)(_MINUS_HALF), Fraction(0)
+        yield n, psi_from_hfubini(n, _row(hfubini_direct, n))(_MINUS_HALF), Fraction(0)
 
 
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
     # Both sides are compared in their reflection parts at -1/2, a linear
     # bijection, so they agree exactly when the polynomials do; a mismatch
     # is reported as the summed parts rebuilt in the x-basis.
-    fs = [None] + [fubini_direct(v).reflection_parts(_MINUS_HALF) for v in range(1, ns.stop)]
+    fs = [fubini_direct(v).reflection_parts(_MINUS_HALF) for v in range(1, ns.stop)]
     for n in ns:
         total_a = total_b = Polynomial.zero()
-        for v in range(1, n + 1):
-            term_a, term_b = reflection_parts_product(
-                lambda_poly(n, v).reflection_parts(_MINUS_HALF), fs[v], _MINUS_HALF)
+        for lam, f in zip(_row(_lambda_parts, n), fs):
+            term_a, term_b = reflection_parts_product(lam, f, _MINUS_HALF)
             total_a, total_b = total_a + term_a, total_b + term_b
-        hfubini = hfubini_direct(n)
+        hfubini = _row(hfubini_direct, n)
         parts = hfubini.reflection_parts(_MINUS_HALF)
         if (total_a, total_b) == parts:
             yield n, (total_a, total_b), parts
@@ -144,8 +185,9 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
+        parts = _row(_lambda_parts, n)
         for v in range(1, n - 1):
-            member = lambda_poly(n, v).in_reflection_class(_MINUS_HALF)
+            member = reflection_class_member(lambda_poly(n, v), parts[v - 1], _MINUS_HALF)
             yield n, (v, member), (v, True)
 
 
@@ -208,8 +250,8 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        row = sf_row(n)
-        total = worpitzky_sum([int_times(row[v], harmonic(v)) for v in range(1, n + 1)])
+        fhat = _row(hfubini_direct, n)
+        total = worpitzky_sum([fhat.coefficient(v) for v in range(1, n + 1)])
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
 
@@ -277,7 +319,7 @@ def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, hfubini_via_derivatives(n), hfubini_direct(n)
+        yield n, hfubini_via_derivatives(n), _row(hfubini_direct, n)
 
 
 def _ordered_partition_count(n: int) -> int:
@@ -361,6 +403,65 @@ CHECKS = {check.check_id: check for check in _ALL_CHECKS}
 CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
 
+class _Scan:
+    """One check's cases within a pass: its next case and what it has seen.
+    Time spent pulling and comparing its cases is charged to it."""
+
+    def __init__(self, check: IdentityCheck, max_n: int, seed: int):
+        self.check = check
+        self.seed = seed
+        self.ns = check.indices(max_n)
+        self._cases = check.cases(self.ns, random.Random(seed))
+        self.count = 0
+        self.witness: Optional[Case] = None
+        start = time.perf_counter()
+        self.pending: Optional[Case] = next(self._cases, None)
+        self.seconds = time.perf_counter() - start
+
+    def advance(self) -> None:
+        """Evaluate every case at the pending index and pull the first case
+        past it; on a failing case keep it as the witness and stop."""
+        start = time.perf_counter()
+        index = self.pending[0]
+        while self.pending is not None and self.pending[0] == index:
+            self.count += 1
+            _, lhs, rhs = self.pending
+            if lhs != rhs:
+                self.witness, self.pending = self.pending, None
+            else:
+                self.pending = next(self._cases, None)
+        self.seconds += time.perf_counter() - start
+
+    def report(self) -> IdentityReport:
+        if self.witness is None:
+            status, witness_n, lhs, rhs = "pass" if self.count else "empty", None, None, None
+        else:
+            status, witness_n = "fail", self.witness[0]
+            lhs, rhs = format_value(self.witness[1]), format_value(self.witness[2])
+        return IdentityReport(self.check.check_id, self.ns.start, self.ns.stop - 1, status,
+                              witness_n, lhs, rhs, self.seed if self.check.randomized else None,
+                              int(self.seconds * 1000))
+
+
+def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]:
+    """Run the checks named by ``ids`` as one pass over the index: at the
+    smallest index any check has left, every check with cases there
+    evaluates them all, in selection order, before the pass moves on.  The
+    rows the checks share (:func:`_row`) are built once for the pass and
+    dropped with it."""
+    token = _pass_rows.set({})
+    try:
+        scans = [_Scan(CHECKS[check_id], max_n, seed) for check_id in ids]
+        while live := [scan for scan in scans if scan.pending is not None]:
+            index = min(scan.pending[0] for scan in live)
+            for scan in live:
+                if scan.pending[0] == index:
+                    scan.advance()
+    finally:
+        _pass_rows.reset(token)
+    return [scan.report() for scan in scans]
+
+
 def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate one registered identity exactly for every index of its
     declared range at max_n, reported as n_min..n_max.  Stops at the first
@@ -371,31 +472,15 @@ def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> Identit
         raise ValueError(f"unknown check id: {check_id!r}")
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    check = CHECKS[check_id]
-    ns = check.indices(max_n)
-    cases = 0
-    witness: Optional[Case] = None
-    start = time.perf_counter()
-    for index, lhs, rhs in check.cases(ns, random.Random(seed)):
-        cases += 1
-        if lhs != rhs:
-            witness = (index, lhs, rhs)
-            break
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if witness is None:
-        status, witness_n, lhs, rhs = "pass" if cases else "empty", None, None, None
-    else:
-        status, witness_n = "fail", witness[0]
-        lhs, rhs = format_value(witness[1]), format_value(witness[2])
-    return IdentityReport(check_id, ns.start, ns.stop - 1, status, witness_n, lhs, rhs,
-                          seed if check.randomized else None, elapsed_ms)
+    return _run_pass([check_id], max_n, seed)[0]
 
 
 def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
               seed: int = DEFAULT_SEED) -> List[IdentityReport]:
-    """Run a selection of checks ("all", ["all"] or a list of ids) and return
-    the reports in selection order.  Every id is validated, and an empty
-    selection refused, before anything runs."""
+    """Run a selection of checks ("all", ["all"] or a list of ids) as one
+    pass and return the reports in selection order; each report is the one
+    :func:`run_check` gives, apart from ``elapsed_ms``.  Every id is
+    validated, and an empty selection refused, before anything runs."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     ids = [selection] if isinstance(selection, str) else list(selection)
@@ -406,4 +491,4 @@ def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check id(s): {', '.join(repr(u) for u in unknown)}")
-    return [run_check(i, max_n, seed=seed) for i in ids]
+    return _run_pass(ids, max_n, seed)

@@ -1,5 +1,6 @@
-"""Ring laws of Polynomial, the canonical form of every result, and the
-reflection-parts round trip and product, by property.
+"""Ring laws of Polynomial, the canonical form of every result, the
+reflection-parts round trip and product, and the parse_rational /
+format_rational round trip, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
 """
@@ -7,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import Polynomial, reflection_parts_product
+from fubinipoly.exactpoly import (
+    Polynomial,
+    format_rational,
+    parse_rational,
+    reflection_parts_product,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -78,3 +84,31 @@ def test_reflection_parts_round_trip(f, alpha):
 def test_reflection_parts_product_is_the_parts_of_the_product(f, g, alpha):
     got = reflection_parts_product(f.reflection_parts(alpha), g.reflection_parts(alpha), alpha)
     assert got == (f * g).reflection_parts(alpha)
+
+
+# Any size of numerator and denominator, so that the literal is not limited
+# to what a machine word holds.
+big_rationals = st.one_of(st.integers(),
+                          st.builds(Fraction, st.integers(), st.integers(1, 10 ** 40)))
+
+
+@PROPERTY
+@given(big_rationals)
+def test_format_then_parse_is_the_identity(x):
+    text = format_rational(x)
+    assert parse_rational(text) == x
+    assert format_rational(parse_rational(text)) == text
+    assert ("/" in text) == (Fraction(x).denominator != 1)
+
+
+@PROPERTY
+@given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 40), st.sampled_from(["", "+", "-"]),
+       st.sampled_from(["", " ", "\t", "\n "]))
+def test_parse_then_format_gives_the_reduced_literal(p, q, sign, pad):
+    signed = -p if sign == "-" else p
+    for text, value in ((f"{pad}{sign}{p}/{q}{pad}", Fraction(signed, q)),
+                        (f"{pad}{sign}{p}{pad}", Fraction(signed))):
+        parsed = parse_rational(text)
+        assert parsed == value
+        assert format_rational(parsed) == str(value)
+        assert parse_rational(format_rational(parsed)) == parsed

@@ -1,13 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, fubini
+from fubinipoly import combinat, fubini, verify
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
     CHECK_IDS,
     CHECKS,
+    PASS_ROWS_PER_KIND,
     IdentityReport,
     run_check,
     run_suite,
@@ -140,13 +142,71 @@ def test_full_suite_small_bound_passes():
     assert all(r.passed for r in reports)
 
 
-def test_reports_are_deterministic_modulo_elapsed():
-    def strip(reports):
-        return [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
+def _without_elapsed(reports):
+    return [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
 
-    first = strip(run_suite(10, "all", seed=7))
-    second = strip(run_suite(10, "all", seed=7))
+
+def test_reports_are_deterministic_modulo_elapsed():
+    first = _without_elapsed(run_suite(10, "all", seed=7))
+    second = _without_elapsed(run_suite(10, "all", seed=7))
     assert first == second
+
+
+@pytest.mark.parametrize("max_n", [40, 60])
+def test_one_pass_equals_isolated_runs(max_n):
+    assert (_without_elapsed(run_suite(max_n, "all"))
+            == _without_elapsed([run_check(i, max_n) for i in CHECK_IDS]))
+
+
+# --- rows shared within a pass ------------------------------------------------
+
+_ROW_READERS = ["fh-at-minus-one", "thm-main-integral", "thm-main-central", "cor-psi-odd",
+                "lambda-expansion", "lambda-reflection", "drv-fh-bn", "fh-derivative-form"]
+
+
+def test_an_override_between_passes_reaches_the_shared_rows():
+    assert all(r.passed for r in run_suite(12, _ROW_READERS))
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
+        fh = run_suite(12, _ROW_READERS)[0]
+    assert (fh.status, fh.witness_n, fh.lhs, fh.rhs) == ("fail", 4, "28", "4")
+    with fubini.lambda_table.override(6, _lambda_6_1_plus_x(fubini.lambda_table[6])):
+        reflection = run_suite(12, _ROW_READERS)[_ROW_READERS.index("lambda-reflection")]
+    assert (reflection.witness_n, reflection.lhs) == (6, "(1, false)")
+    assert all(r.passed for r in run_suite(12, _ROW_READERS))
+
+
+def test_cases_outside_a_pass_build_their_own_rows():
+    assert all(r.passed for r in run_suite(12, _ROW_READERS))
+    assert verify._pass_rows.get() is None
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
+        cases = list(CHECKS["fh-at-minus-one"].cases(range(1, 13), random.Random(0)))
+    assert cases[3] == (4, 28, 4)
+
+
+def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
+    built = {"hfubini": [], "lambda": []}
+    sizes = []
+
+    def counted(name, build):
+        def count(n):
+            built[name].append(n)
+            return build(n)
+        return count
+
+    def watched(cases):
+        def pull_and_watch(ns, rng):
+            for case in cases(ns, rng):
+                sizes.append([len(rows) for rows in verify._pass_rows.get().values()])
+                yield case
+        return pull_and_watch
+
+    monkeypatch.setattr(verify, "hfubini_direct", counted("hfubini", verify.hfubini_direct))
+    monkeypatch.setattr(verify, "_lambda_parts", counted("lambda", verify._lambda_parts))
+    for check_id, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, cases=watched(check.cases)))
+    assert all(r.passed for r in run_suite(60, "all"))
+    assert sorted(built["hfubini"]) == sorted(built["lambda"]) == list(range(1, 61))
+    assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
 
 
 # --- fault injection: the suite must notice a single corrupted table entry ----
@@ -253,11 +313,14 @@ def _lambda_6_1_plus_antisymmetric(row):
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
+    run_suite(12, "all")                        # and every table any check reads
     with table.override(index, corrupt(table[index])):
         report = run_check(check_id, 12)
+        in_pass = run_suite(12, "all")[CHECK_IDS.index(check_id)]
     assert report.status == "fail"
     assert report.witness_n == witness
     assert (report.lhs, report.rhs) == (lhs, rhs)
+    assert (in_pass.status, in_pass.witness_n, in_pass.lhs, in_pass.rhs) == ("fail", witness, lhs, rhs)
     assert run_check(check_id, 12).passed
 
 
