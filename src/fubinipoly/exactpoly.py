@@ -228,33 +228,59 @@ class Polynomial:
     def __call__(self, point: Rational) -> Rational:
         """Exact Horner evaluation in integers, with one Fraction at the end.
 
-        With the coefficients written as a_i / den over their common
-        denominator and point = p/q, the loop folds the homogenised sum
-        sum_i a_i p^i q^(d-i), so no intermediate value is a Fraction.  The
-        result is an int for an all-int polynomial at an int point and for
-        the zero polynomial, otherwise a Fraction."""
+        With point = p/q and the coefficients written as a_i / den over
+        their common denominator, :func:`_fold` sums the homogenised
+        A = sum_i a_i p^i q^(d-i), so no intermediate value is a Fraction,
+        and the value is A / (den q^d).  At p = 0 the value is c_0, found
+        without a loop.  At p/q = +-1 the int coefficients are not scaled by
+        den: they are folded apart into W, the Fraction numerators alone
+        into A, and the value is (W den + A) / den.  The result is an int
+        for an all-int polynomial at an int point and for the zero
+        polynomial, otherwise a Fraction."""
         exact(point)    # not its canonical form: an integral Fraction point gives a Fraction
-        p, q = point.numerator, point.denominator
-        if not self._coeffs:
+        c = self._coeffs
+        if not c:
             return 0
-        den = math.lcm(*(c.denominator for c in self._coeffs if type(c) is not int))
-        acc = 0
-        q_power = 1     # q^(d-i) while folding coefficient i
-        for c in reversed(self._coeffs):
-            a = c * den if type(c) is int else c.numerator * (den // c.denominator)
-            acc = acc * p + a * q_power
-            q_power *= q
+        p, q = point.numerator, point.denominator
+        all_int = _INT_ONLY.issuperset(map(type, c))
+        if p == 0:
+            return c[0] if all_int and isinstance(point, int) else Fraction(c[0])
+        if all_int:
+            whole, den, acc = c, 1, 0
+        else:
+            den = math.lcm(*(v.denominator for v in c if type(v) is not int))
+            if q == 1 and (p == 1 or p == -1):
+                # A fold here is two C-level sums, cheaper than scaling the ints
+                # by den; elsewhere a second Horner loop would cost more.
+                whole = [v if type(v) is int else 0 for v in c]
+                part = [0 if type(v) is int else v.numerator * (den // v.denominator) for v in c]
+            else:
+                whole = ()
+                part = [v * den if type(v) is int else v.numerator * (den // v.denominator)
+                        for v in c]
+            acc = _fold(part, p, q)
+        if any(whole):
+            acc += _fold(whole, p, q) * den
         if den == 1 and isinstance(point, int):
             return acc
-        return Fraction(acc, den * q_power // q)
+        return Fraction(acc, den * q ** (len(c) - 1))
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term."""
-        return Polynomial([0] + [Fraction(c, i + 1) if isinstance(c, int) else c / (i + 1)
-                                 for i, c in enumerate(self._coeffs)])
+        """Antiderivative with zero constant term.
+
+        An int coefficient c of x^(i-1) gives c/i as an int when i divides
+        it, found by one divmod, and as a Fraction only when it does not."""
+        out = [0]
+        for i, c in enumerate(self._coeffs, 1):
+            if type(c) is int:
+                quotient, remainder = divmod(c, i)
+                out.append(Fraction(c, i) if remainder else quotient)
+            else:
+                out.append(c / i)
+        return Polynomial(out)
 
     def definite_integral(self, lower: Rational, upper: Rational) -> Rational:
         """Exact value of the integral from lower to upper."""
@@ -349,6 +375,38 @@ class Polynomial:
 _ZERO = Polynomial()
 _ONE = Polynomial([1])
 _X = Polynomial([0, 1])
+
+
+def _fold(coeffs, p: int, q: int) -> int:
+    """The homogenised sum sum_i coeffs[i] p^i q^(d-i), d = len(coeffs) - 1,
+    of int coefficients at a point p/q in lowest terms, p != 0.
+
+    Horner's scheme runs from the side whose growing power stays small:
+    from the constant term up, acc = acc*q + c_i p^i, when |p| <= q, and
+    from the top, acc = acc*p + c_i q^(d-i), otherwise.  At p = +-1 the
+    first is Horner's scheme at p*q on the reversed coefficients, times p^d,
+    so each step is one multiply by p*q; at +-1 itself (q = 1) the sum is
+    the even- and odd-indexed coefficient sums, added or subtracted."""
+    if p == 1 or p == -1:
+        if q == 1:
+            even, odd = sum(coeffs[0::2]), sum(coeffs[1::2])
+            return even + odd if p == 1 else even - odd
+        acc, t = 0, p * q
+        for c in coeffs:
+            acc = acc * t + c
+        return -acc if p == -1 and len(coeffs) % 2 == 0 else acc
+    acc = 0
+    if abs(p) <= q:
+        p_power = 1     # p^i while folding coefficient i
+        for c in coeffs:
+            acc = acc * q + c * p_power
+            p_power *= p
+    else:
+        q_power = 1     # q^(d-i) while folding coefficient i
+        for c in reversed(coeffs):
+            acc = acc * p + c * q_power
+            q_power *= q
+    return acc
 
 
 def _times_u(p: Polynomial) -> Polynomial:

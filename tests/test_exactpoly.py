@@ -5,7 +5,7 @@ import pytest
 
 from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, int_times, json_value,
                                   parse_rational, reflection_parts_product)
-from fubinipoly.fubini import lambda_poly
+from fubinipoly.fubini import fubini_direct, hfubini_direct, lambda_poly, power_sum_poly, psi_poly
 from fubinipoly.transforms import binomial_transform
 
 HALF_NEG = Fraction(-1, 2)
@@ -187,6 +187,35 @@ def test_eval_matches_reference_horner_in_value_and_type():
     assert type(Polynomial.zero()(HALF_NEG)) is int
     assert type(Polynomial([0, 1, 3, 2])(5)) is int
     assert type(Polynomial([0, 1, 3, 2])(Fraction(4))) is Fraction
+
+
+# Every rule of __call__ on the large coefficients of the families the value
+# checks evaluate: c_0 at 0, the two slice sums at +-1 (with the int part
+# folded apart when the polynomial mixes ints and Fractions), the fold from
+# the constant term up (|p| <= q) at -1/2 and 1/3 (p = +-1) and at -3/4, and
+# from the top at 7/3, -40/3 and 3.
+_FAMILY_POINTS = [0, Fraction(0), 1, -1, Fraction(1), HALF_NEG, Fraction(1, 3), Fraction(-3, 4),
+                  Fraction(7, 3), Fraction(-40, 3), 3]
+
+
+def _family_polys(n):
+    """F_n, Fhat_n, psi_n and the power-sum polynomial of index n, each with its
+    antiderivative, and of each a copy whose only Fraction is c_0 and a copy
+    whose every coefficient is a Fraction."""
+    for f in (fubini_direct(n), hfubini_direct(n), psi_poly(n), power_sum_poly(n)):
+        for g in (f, f.antiderivative()):
+            c = g.coefficients
+            yield g
+            yield Polynomial([Fraction(1, 3)] + [v.numerator for v in c[1:]])
+            yield Polynomial([Fraction(2 * v.numerator + 1, 2 * v.denominator) for v in c])
+
+
+def test_eval_on_the_families_matches_reference_horner_in_value_and_type():
+    for n in range(1, 61):
+        for f in _family_polys(n):
+            for point in _FAMILY_POINTS:
+                value, expected = f(point), _horner_reference(f, point)
+                assert value == expected and type(value) is type(expected), (n, f, point)
 
 
 def _is_canonical(f):

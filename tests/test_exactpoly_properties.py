@@ -1,4 +1,5 @@
 """Ring laws of Polynomial, the canonical form of every result, the
+antiderivative and evaluation against their definitions, the
 reflection-parts round trip and product, and the parse_rational /
 format_rational round trip, by property.
 
@@ -67,6 +68,45 @@ def test_derivative_obeys_the_product_rule(f, g):
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
     assert (f + g).derivative() == f.derivative() + g.derivative()
     _assert_canonical(f.derivative(), (f * g).derivative())
+
+
+@PROPERTY
+@given(polys)
+def test_antiderivative_is_a_canonical_inverse_of_derivative(f):
+    anti = f.antiderivative()
+    assert anti.derivative() == f
+    assert anti.coefficient(0) == 0
+    _assert_canonical(anti)
+    for i, c in enumerate(f.coefficients, 1):
+        # an entry c/i that divides exactly is an int, any other a Fraction
+        assert type(anti.coefficient(i)) is (int if Fraction(c, i).denominator == 1 else Fraction)
+
+
+def _horner_reference(f, point):
+    # Horner over Fractions, one operation at a time.
+    acc = 0
+    for c in reversed(f.coefficients):
+        acc = acc * point + c
+    return acc
+
+
+# Points p/q on both sides of |p| = q, with 0 and +-1 (as ints and as
+# Fractions) drawn often.
+points = st.one_of(st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+                   st.integers(-50, 50),
+                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)))
+wide_polys = st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                                st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                                          st.integers(1, 10 ** 6))),
+                      max_size=12).map(Polynomial)
+
+
+@PROPERTY
+@given(st.one_of(polys, wide_polys), points)
+def test_eval_matches_fraction_horner_in_value_and_type(f, x):
+    for g in (f, f.antiderivative()):
+        value, expected = g(x), _horner_reference(g, x)
+        assert value == expected and type(value) is type(expected), g
 
 
 @PROPERTY

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, fubini
-from fubinipoly.combinat import binomial_rat, harmonic, sf, sf_row
+from fubinipoly import combinat, fubini, verify
+from fubinipoly.combinat import bernoulli_akiyama_tanigawa, binomial_rat, harmonic, sf, sf_row
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import (
     fubini_direct,
@@ -184,6 +184,22 @@ def test_exact_division_routes_match_fraction_step_oracle(route, reference):
             assert got == want, n
             assert [type(c) for c in got] == [type(c) for c in want], n
         assert type(route(5).coefficient(4)) is Fraction
+
+
+def test_the_integrals_of_the_families_do_not_go_through_worpitzky_sum(monkeypatch):
+    # worpitzky-integral and thm-main-integral evaluate the antiderivative at
+    # both ends; drv-fh-bn and the Bernoulli table take the worpitzky_sum
+    # route.  Both routes must stay apart, or those checks compare a value
+    # with itself.
+    def refuse(terms):
+        raise AssertionError("definite_integral went through worpitzky_sum")
+
+    for module in (combinat, verify):
+        monkeypatch.setattr(module, "worpitzky_sum", refuse)
+    for n in range(1, 41):
+        assert fubini_direct(n).definite_integral(-1, 0) == bernoulli_akiyama_tanigawa(n), n
+        assert (hfubini_direct(n).definite_integral(-1, 0)
+                == -Fraction(n, 2) * bernoulli_akiyama_tanigawa(n - 1)), n
 
 
 def test_psi_rejects_zero():
