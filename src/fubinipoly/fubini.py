@@ -71,16 +71,21 @@ def hfubini_rec(n: int) -> Polynomial:
 
 
 def _lambda_row(prev: tuple, n: int) -> tuple:
-    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]
-    def entry(nu: int) -> Polynomial:
-        lam = prev[nu - 1] if nu < n else Polynomial.zero()
-        lam_below = prev[nu - 2] if nu >= 2 else Polynomial.zero()
-        out = _X2_PLUS_X * lam.derivative() + lam_below
+    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
+    # with c = lambda(n-1, nu), coefficient k is k c_k + (k-1) c_(k-1), plus
+    # that of lambda(n-1, nu-1), plus 1 at k = 1 when nu = n-1.
+    row = []
+    for nu in range(1, n + 1):
+        c = prev[nu - 1].coefficients if nu < n else ()
+        out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+        if nu >= 2:
+            below = prev[nu - 2].coefficients
+            out += [0] * (len(below) - len(out))
+            out[:len(below)] = map(operator.add, out, below)
         if nu == n - 1:
-            out = out + _X
-        return out
-
-    return tuple(entry(nu) for nu in range(1, n + 1))
+            out[1] += 1
+        row.append(Polynomial(out))
+    return tuple(row)
 
 
 # Row n holds lambda(n, 1) .. lambda(n, n); the base is lambda(1, 1) = 1.

@@ -17,12 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
-from .exactpoly import (
-    Polynomial,
-    format_value,
-    reflection_class_member,
-    reflection_parts_product,
-)
+from .exactpoly import Polynomial, format_value, reflection_parts_product
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -36,6 +31,8 @@ from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_vi
 DEFAULT_SEED = 0
 
 _MINUS_HALF = Fraction(-1, 2)
+_X3_PLUS_X2_PARTS = Polynomial([0, 0, 1, 1]).reflection_parts(_MINUS_HALF)
+_ONE_PLUS_4U = Polynomial([1, 4])       # (2x+1)^2 as a polynomial in u = x^2 + x
 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
 # checks); lhs/rhs are exact comparables.  A generator yields cases for the
@@ -105,11 +102,6 @@ def _row(build: Callable[[int], object], n: int):
     return rows[n]
 
 
-def _lambda_parts(n: int) -> tuple:
-    """The reflection parts at -1/2 of lambda(n, 1) .. lambda(n, n)."""
-    return tuple(lambda_poly(n, v).reflection_parts(_MINUS_HALF) for v in range(1, n + 1))
-
-
 # --- check bodies ----------------------------------------------------------
 
 
@@ -151,22 +143,88 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_from_hfubini(n, _row(hfubini_direct, n))(_MINUS_HALF), Fraction(0)
 
 
+def _lambda_closed_form(n: int, nu: int) -> Polynomial:
+    """lambda(n, nu) in closed form: C(n-1, nu-1) (x+1) F_(n-1-nu) for
+    nu <= n-2, (n-1) x for nu = n-1 and 1 for nu = n."""
+    if nu == n:
+        return Polynomial.one()
+    if nu == n - 1:
+        return Polynomial.monomial(n - 1, 1)
+    f = fubini_direct(n - 1 - nu).coefficients
+    k = math.comb(n - 1, nu - 1)
+    return Polynomial([k * (c + c_below) for c, c_below in zip(f + (0,), (0,) + f)])
+
+
+def _k_split(v: int) -> Optional[Tuple[Polynomial, int]]:
+    """K_v = F_v / x as (A, e) with K_v = A(u) (2x+1)^e, u = x^2 + x, or
+    None when F_v has a constant term or K_v is not of that form.
+
+    x F_v(-1-x) = (-1)^v (1+x) F_v(x), so K_v lies in the reflection class
+    at -1/2: its split is (A, 0) for odd v, and (A, 2A), which is
+    A(u) (2x+1), for even v.  A split of any other form, which only a
+    corrupted SF row can give, is refused rather than assumed."""
+    f = fubini_direct(v)
+    if f.coefficient(0) != 0:
+        return None
+    a, b = Polynomial(f.coefficients[1:]).reflection_parts(_MINUS_HALF)
+    if b.is_zero():
+        return a, 0
+    if b == a * 2:
+        return a, 1
+    return None
+
+
+def _lambda_expansion_sum(n: int) -> Polynomial:
+    """sum_nu lambda(n, nu) F_nu, read from the table and multiplied out."""
+    total = Polynomial.zero()
+    for v in range(1, n + 1):
+        total = total + lambda_poly(n, v) * fubini_direct(v)
+    return total
+
+
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
-    # Both sides are compared in their reflection parts at -1/2, a linear
-    # bijection, so they agree exactly when the polynomials do; a mismatch
-    # is reported as the summed parts rebuilt in the x-basis.
-    fs = [fubini_direct(v).reflection_parts(_MINUS_HALF) for v in range(1, ns.stop)]
+    # Row n of the table is first compared with its closed form
+    # (_lambda_closed_form) entry by entry.  Once it matches, the expansion is
+    #   Fhat_n = F_n + (n-1) x F_(n-1) + (x^3+x^2) sum_(a+b=n-1) C(n-1,b-1) K_a K_b
+    # over a, b >= 1, with K_v = F_v / x, since (x+1) F_a F_b = (x^3+x^2) K_a K_b.
+    # The pair a < b is formed once with both weights, and K_a K_b is
+    # A_a(u) A_b(u) (2x+1)^(e_a+e_b) by _k_split: one product of A parts.  The
+    # sum is compared with Fhat_n in reflection parts at -1/2, a linear
+    # bijection, and a mismatch is reported rebuilt in the x-basis.  A row
+    # that differs from its closed form, or a K_v that does not split so,
+    # sends n to the table's own sum multiplied out.
+    splits: List[Optional[Tuple[Polynomial, int]]] = []     # splits[v - 1] of K_v
     for n in ns:
-        total_a = total_b = Polynomial.zero()
-        for lam, f in zip(_row(_lambda_parts, n), fs):
-            term_a, term_b = reflection_parts_product(lam, f, _MINUS_HALF)
-            total_a, total_b = total_a + term_a, total_b + term_b
-        hfubini = _row(hfubini_direct, n)
-        parts = hfubini.reflection_parts(_MINUS_HALF)
-        if (total_a, total_b) == parts:
-            yield n, (total_a, total_b), parts
+        while len(splits) < n - 2:
+            splits.append(_k_split(len(splits) + 1))
+        fhat = _row(hfubini_direct, n)
+        mismatch = next((nu for nu in range(1, n + 1)
+                         if lambda_poly(n, nu) != _lambda_closed_form(n, nu)), None)
+        if mismatch is not None or None in splits:
+            table_sum = _lambda_expansion_sum(n)
+            if mismatch is None or table_sum != fhat:
+                yield n, table_sum, fhat
+            else:
+                entry, closed = lambda_poly(n, mismatch), _lambda_closed_form(n, mismatch)
+                yield n, (mismatch, entry), (mismatch, closed)
+            continue
+        sums = [Polynomial.zero()] * 3      # sums[e]: the pairs with e_a + e_b = e
+        for a in range(1, (n - 1) // 2 + 1):
+            b = n - 1 - a
+            (part_a, e_a), (part_b, e_b) = splits[a - 1], splits[b - 1]
+            weight = math.comb(n - 1, b - 1) + (math.comb(n - 1, a - 1) if a < b else 0)
+            sums[e_a + e_b] += part_a * part_b * weight
+        # (2x+1)^2 = 1 + 4u, so the pairs sum to P(u) + (2x+1) Q(u): parts (P + Q, 2Q).
+        p, q = sums[0] + sums[2] * _ONE_PLUS_4U, sums[1]
+        tail = reflection_parts_product(_X3_PLUS_X2_PARTS, (p + q, q * 2), _MINUS_HALF)
+        head = fubini_direct(n)
+        if n >= 2:
+            head += Polynomial.monomial(n - 1, 1) * fubini_direct(n - 1)
+        parts = (fhat - head).reflection_parts(_MINUS_HALF)
+        if tail == parts:
+            yield n, tail, parts
         else:
-            yield n, Polynomial.from_reflection_parts(total_a, total_b, _MINUS_HALF), hfubini
+            yield n, head + Polynomial.from_reflection_parts(*tail, _MINUS_HALF), fhat
 
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -185,10 +243,8 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        parts = _row(_lambda_parts, n)
         for v in range(1, n - 1):
-            member = reflection_class_member(lambda_poly(n, v), parts[v - 1], _MINUS_HALF)
-            yield n, (v, member), (v, True)
+            yield n, (v, lambda_poly(n, v).in_reflection_class(_MINUS_HALF)), (v, True)
 
 
 _CLOSURE_CASES = 200

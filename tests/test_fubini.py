@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -117,6 +118,57 @@ def test_lambda_degree_and_coefficients():
             lam = lambda_poly(n, nu)
             assert lam.degree == n - nu
             assert lam.has_nonneg_int_coeffs()
+
+
+def _lambda_row_by_polynomial_steps(prev, n):
+    # The reference for the integer route of fubini._lambda_row: the recurrence
+    # as three Polynomial operations per entry.
+    x2_plus_x = Polynomial([0, 1, 1])
+
+    def entry(nu):
+        lam = prev[nu - 1] if nu < n else Polynomial.zero()
+        lam_below = prev[nu - 2] if nu >= 2 else Polynomial.zero()
+        out = x2_plus_x * lam.derivative() + lam_below
+        if nu == n - 1:
+            out = out + Polynomial.x()
+        return out
+
+    return tuple(entry(nu) for nu in range(1, n + 1))
+
+
+def test_lambda_rows_match_polynomial_step_oracle():
+    want = (Polynomial.one(),)
+    for n in range(2, 61):
+        want = _lambda_row_by_polynomial_steps(want, n)
+        got = fubini.lambda_table[n]
+        assert got == want, n
+        assert all(type(c) is int for lam in got for c in lam), n
+
+
+def test_lambda_closed_form():
+    # lambda(n, nu) = C(n-1, nu-1) (x+1) F_(n-1-nu) for nu <= n-2.
+    fs = [None] + [fubini_rec(a) for a in range(1, 58)]
+    for n in range(3, 60):
+        for nu in range(1, n - 1):
+            closed = Polynomial([1, 1]) * fs[n - 1 - nu] * math.comb(n - 1, nu - 1)
+            assert lambda_poly(n, nu) == closed, (n, nu)
+
+
+def _compose(f, g):
+    """f(g(x)) by Horner's scheme."""
+    acc = Polynomial.zero()
+    for c in reversed(f.coefficients):
+        acc = acc * g + c
+    return acc
+
+
+def test_fubini_reflection_about_minus_half():
+    # x F_v(-1-x) = (-1)^v (1+x) F_v(x): K_v = F_v / x is in the reflection
+    # class at -1/2, which the lambda-expansion check relies on.
+    for v in range(1, 61):
+        f = fubini_direct(v)
+        assert Polynomial.x() * _compose(f, Polynomial([-1, -1])) \
+            == Polynomial([1, 1]) * f * (-1) ** v, v
 
 
 def test_lambda_out_of_range_is_zero():

@@ -184,12 +184,12 @@ def test_cases_outside_a_pass_build_their_own_rows():
 
 
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
-    built = {"hfubini": [], "lambda": []}
+    built = []
     sizes = []
 
-    def counted(name, build):
+    def counted(build):
         def count(n):
-            built[name].append(n)
+            built.append(n)
             return build(n)
         return count
 
@@ -200,12 +200,11 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
                 yield case
         return pull_and_watch
 
-    monkeypatch.setattr(verify, "hfubini_direct", counted("hfubini", verify.hfubini_direct))
-    monkeypatch.setattr(verify, "_lambda_parts", counted("lambda", verify._lambda_parts))
+    monkeypatch.setattr(verify, "hfubini_direct", counted(verify.hfubini_direct))
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, cases=watched(check.cases)))
     assert all(r.passed for r in run_suite(60, "all"))
-    assert sorted(built["hfubini"]) == sorted(built["lambda"]) == list(range(1, 61))
+    assert sorted(built) == list(range(1, 61))
     assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
 
 
@@ -280,6 +279,31 @@ def _lambda_6_1_plus_antisymmetric(row):
     return (row[0] + Polynomial([0, 1, 3, 2]),) + row[1:]
 
 
+# lambda(6,1) + F_2 and lambda(6,2) - x leave sum_nu lambda(6,nu) F_nu as it
+# is, since F_1 = x; only the comparison with the closed form sees them.
+def _lambda_6_compensating(row):
+    return (row[0] + fubini.fubini_direct(2), row[1] - Polynomial.x()) + row[2:]
+
+
+def _lambda_6_plus_one_at(nu):
+    def corrupt(row):
+        return row[:nu - 1] + (row[nu - 1] + 1,) + row[nu:]
+    return corrupt
+
+
+_FHAT_6 = "[0, 1, 93, 990, 3250, 4110, 1764]"
+
+# lambda(6, nu) + 1 adds F_nu to the table's sum, which lambda-expansion reports.
+_LAMBDA_6_PLUS_ONE_SUMS = {
+    1: "[0, 2, 93, 990, 3250, 4110, 1764]",
+    2: "[0, 2, 95, 990, 3250, 4110, 1764]",
+    3: "[0, 2, 99, 996, 3250, 4110, 1764]",
+    4: "[0, 2, 107, 1026, 3274, 4110, 1764]",
+    5: "[0, 2, 123, 1140, 3490, 4230, 1764]",
+    6: "[0, 2, 155, 1530, 4810, 5910, 2484]",
+}
+
+
 @pytest.mark.parametrize("table,index,corrupt,check_id,witness,lhs,rhs", [
     (combinat.sf_table, 5, _bump_third, "fs-at-minus-one", 5, "0", "-1"),
     (combinat.sf_table, 5, _bump_third, "gregory-newton", 5,
@@ -306,10 +330,16 @@ def _lambda_6_1_plus_antisymmetric(row):
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
     (fubini.lambda_table, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+    (fubini.lambda_table, 6, _lambda_6_compensating, "lambda-expansion", 6,
+     "(1, [0, 2, 17, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
+] + [
+    (fubini.lambda_table, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, _FHAT_6)
+    for nu, lhs in _LAMBDA_6_PLUS_ONE_SUMS.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
-        "lambda/antisymmetric-entry"])
+        "lambda/antisymmetric-entry", "lambda/compensating"]
+    + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_SUMS])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
@@ -322,6 +352,34 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
     assert (report.lhs, report.rhs) == (lhs, rhs)
     assert (in_pass.status, in_pass.witness_n, in_pass.lhs, in_pass.rhs) == ("fail", witness, lhs, rhs)
     assert run_check(check_id, 12).passed
+
+
+def test_lambda_expansion_multiplies_out_the_table_when_k_does_not_split():
+    # With SF(5,2) + 1, K_5 = F_5 / x is no longer A(u) (2x+1)^e, so from
+    # n = 7, where K_5 first enters a pair, the check must fall back to the
+    # table's sum rather than use the product of A parts.
+    corrupted = list(combinat.sf_row(5))
+    corrupted[2] += 1
+    ns = range(7, 10)
+    with combinat.sf_table.override(5, tuple(corrupted)):
+        assert verify._k_split(5) is None
+        got = list(CHECKS["lambda-expansion"].cases(ns, random.Random(0)))
+        want = [(n, sum((fubini.lambda_poly(n, v) * fubini.fubini_direct(v)
+                         for v in range(1, n + 1)), Polynomial.zero()),
+                 fubini.hfubini_direct(n)) for n in ns]
+    assert got == want
+    assert all(lhs != rhs for _, lhs, rhs in got)
+
+
+def test_k_splits_as_a_reflection_member():
+    for v in range(1, 61):
+        part, e = verify._k_split(v)
+        assert e == (v + 1) % 2
+        k = Polynomial(fubini.fubini_direct(v).coefficients[1:])
+        assert Polynomial.from_reflection_parts(part, part * (2 * e), Fraction(-1, 2)) == k
+        assert part.degree == (v - 1) // 2 and part.has_nonneg_int_coeffs()
+    with combinat.sf_table.override(5, (1,) + combinat.sf_row(5)[1:]):
+        assert verify._k_split(5) is None       # F_5 with a constant term
 
 
 def _gregory_newton_cases_by_fraction_steps(ns):
