@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    at = parse_rational(args.at) if args.at is not None else None
+    at = args.at        # already an exact Fraction: main parses it
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -210,11 +210,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_rational_flag_values(
         list(sys.argv[1:]) if argv is None else list(argv)))
+    limit = sys.get_int_max_str_digits()
     try:
+        if getattr(args, "at", None) is not None:
+            args.at = parse_rational(args.at)
+        # The inputs above pass Python's guard on int-from-str length; the
+        # exact results printed below may be far longer, so it is lifted.
+        sys.set_int_max_str_digits(0)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -312,8 +312,7 @@ class Polynomial:
 
         The reflection x -> 2*alpha - x fixes u, so f is symmetric about
         alpha exactly when B = 0 and antisymmetric exactly when 2A = s*B,
-        where s = -2*alpha.  :meth:`from_reflection_parts` is the inverse and
-        :func:`reflection_parts_product` multiplies in this form.
+        where s = -2*alpha.  :meth:`from_reflection_parts` is the inverse.
 
         At s = 0, A holds the even and B the odd coefficients.  Otherwise
         the substitution x = s*y gives u = s^2 (y^2 + y), and g(y) = f(s*y)
@@ -364,9 +363,18 @@ class Polynomial:
         f(alpha + t) = (-1)^deg(f) * f(alpha - t), decided here as an exact
         coefficient identity on :meth:`reflection_parts` (never by sampling).
         The zero polynomial is a member by convention.  Odd-degree members
-        necessarily vanish at alpha.
+        necessarily vanish at alpha.  With (A, B) the parts and
+        s = -2*alpha, a nonzero member with nonnegative integer coefficients
+        has B = 0 (even degree) or 2A = s*B (odd degree).
         """
-        return reflection_class_member(self, self.reflection_parts(alpha), alpha)
+        a, b = self.reflection_parts(alpha)
+        if self.is_zero():
+            return True
+        if not self.has_nonneg_int_coeffs():
+            return False
+        if self.degree % 2 == 0:
+            return b.is_zero()
+        return a * 2 == b * exact(-2 * alpha)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)!r})"
@@ -408,46 +416,3 @@ def _fold(coeffs, p: int, q: int) -> int:
             q_power *= q
     return acc
 
-
-def _times_u(p: Polynomial) -> Polynomial:
-    return Polynomial((0,) + p._coeffs)
-
-
-def reflection_class_member(f: Polynomial, parts: "tuple[Polynomial, Polynomial]",
-                            alpha: Rational) -> bool:
-    """:meth:`Polynomial.in_reflection_class` decided from ``parts``, which
-    must be ``f.reflection_parts(alpha)``: a caller that already holds the
-    split does not make it again.  The zero polynomial is a member; else f
-    needs nonnegative integer coefficients and B = 0 (even degree) or
-    2A = s*B (odd degree), s = -2*alpha."""
-    if f.is_zero():
-        return True
-    if not f.has_nonneg_int_coeffs():
-        return False
-    a, b = parts
-    if f.degree % 2 == 0:
-        return b.is_zero()
-    return a * 2 == b * exact(-2 * alpha)
-
-
-def reflection_parts_product(left: "tuple[Polynomial, Polynomial]",
-                             right: "tuple[Polynomial, Polynomial]",
-                             alpha: Rational) -> "tuple[Polynomial, Polynomial]":
-    """The reflection parts of f*g from left = (A, B) of f and right = (C, D) of g.
-
-    With u = x^2 + s*x, s = -2*alpha, the product is
-    (AC + u BD) + x (AD + BC - s BD).  A symmetric left factor (B = 0) and an
-    antisymmetric one (B = (2/s) A) each cost two half-size products; no
-    factor is assumed to be either."""
-    s = exact(-2 * alpha)
-    a, b = left
-    c, d = right
-    if b.is_zero():
-        return a * c, a * d
-    if s != 0:
-        k = exact(Fraction(2) / s)
-        if b == a * k:
-            ac, ad = a * c, a * d
-            return ac + _times_u(ad * k), ac * k - ad
-    bd = b * d
-    return a * c + _times_u(bd), a * d + b * c - bd * s

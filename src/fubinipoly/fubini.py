@@ -11,7 +11,10 @@ Each family has a direct constructor (straight from the coefficient
 definition) and a recurrence constructor; the pair is the library's core
 self-validation mechanism and both are public API.  The connection
 polynomials lambda(n, nu) expand Fhat_n in the F-basis:
-``Fhat_n = sum_nu lambda(n,nu) * F_nu``.
+``Fhat_n = sum_nu lambda(n,nu) * F_nu``.  :func:`lambda_poly` serves them
+from their closed form over the SF triangle, so this module keeps no memo
+table of its own; their recurrence is the oracle that the ``verify`` check
+``lambda-expansion`` rolls forward row by row.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .combinat import MemoTable, bernoulli, bernoulli_poly, harmonic, sf_row
+from .combinat import bernoulli, bernoulli_poly, harmonic, sf_row
 from .exactpoly import Polynomial, Rational, exact, int_times
 
 _X = Polynomial.x()
@@ -70,35 +73,22 @@ def hfubini_rec(n: int) -> Polynomial:
     return h
 
 
-def _lambda_row(prev: tuple, n: int) -> tuple:
-    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
-    # with c = lambda(n-1, nu), coefficient k is k c_k + (k-1) c_(k-1), plus
-    # that of lambda(n-1, nu-1), plus 1 at k = 1 when nu = n-1.
-    row = []
-    for nu in range(1, n + 1):
-        c = prev[nu - 1].coefficients if nu < n else ()
-        out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
-        if nu >= 2:
-            below = prev[nu - 2].coefficients
-            out += [0] * (len(below) - len(out))
-            out[:len(below)] = map(operator.add, out, below)
-        if nu == n - 1:
-            out[1] += 1
-        row.append(Polynomial(out))
-    return tuple(row)
-
-
-# Row n holds lambda(n, 1) .. lambda(n, n); the base is lambda(1, 1) = 1.
-# Every entry has nonnegative integer coefficients and degree n - nu.
-lambda_table = MemoTable([(), (Polynomial.one(),)], _lambda_row)
-
-
 def lambda_poly(n: int, nu: int) -> Polynomial:
-    """Connection polynomial lambda(n, nu); zero for nu outside 1..n."""
+    """Connection polynomial lambda(n, nu); zero for nu outside 1..n.
+
+    Served from its closed form: C(n-1, nu-1) (x+1) F_(n-1-nu) for
+    nu <= n-2, (n-1) x for nu = n-1 and 1 for nu = n.  Every entry has
+    nonnegative integer coefficients and degree n - nu."""
     _require_positive(n)
     if operator.index(nu) < 1 or nu > n:
         return Polynomial.zero()
-    return lambda_table[n][nu - 1]
+    if nu == n:
+        return Polynomial.one()
+    if nu == n - 1:
+        return Polynomial.monomial(n - 1, 1)
+    f = sf_row(n - 1 - nu)
+    k = math.comb(n - 1, nu - 1)
+    return Polynomial([k * (c + c_below) for c, c_below in zip(f + (0,), (0,) + f)])
 
 
 def psi_poly(n: int) -> Polynomial:

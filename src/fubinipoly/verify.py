@@ -9,6 +9,7 @@ Randomized checks draw from a seeded generator and record the seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from contextvars import ContextVar
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
-from .exactpoly import Polynomial, format_value, reflection_parts_product
+from .exactpoly import Polynomial, format_value
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -31,7 +32,6 @@ from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_vi
 DEFAULT_SEED = 0
 
 _MINUS_HALF = Fraction(-1, 2)
-_X3_PLUS_X2_PARTS = Polynomial([0, 0, 1, 1]).reflection_parts(_MINUS_HALF)
 _ONE_PLUS_4U = Polynomial([1, 4])       # (2x+1)^2 as a polynomial in u = x^2 + x
 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
@@ -143,16 +143,29 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_from_hfubini(n, _row(hfubini_direct, n))(_MINUS_HALF), Fraction(0)
 
 
-def _lambda_closed_form(n: int, nu: int) -> Polynomial:
-    """lambda(n, nu) in closed form: C(n-1, nu-1) (x+1) F_(n-1-nu) for
-    nu <= n-2, (n-1) x for nu = n-1 and 1 for nu = n."""
-    if nu == n:
-        return Polynomial.one()
-    if nu == n - 1:
-        return Polynomial.monomial(n - 1, 1)
-    f = fubini_direct(n - 1 - nu).coefficients
-    k = math.comb(n - 1, nu - 1)
-    return Polynomial([k * (c + c_below) for c, c_below in zip(f + (0,), (0,) + f)])
+def _lambda_row(prev: tuple, n: int) -> tuple:
+    """Row n of lambda(n, 1..n) by the recurrence from row n - 1: the oracle
+    that lambda-expansion holds the served rows to."""
+    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
+    # with c = lambda(n-1, nu), coefficient k is k c_k + (k-1) c_(k-1), plus
+    # that of lambda(n-1, nu-1), plus 1 at k = 1 when nu = n-1.
+    row = []
+    for nu in range(1, n + 1):
+        c = prev[nu - 1].coefficients if nu < n else ()
+        out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+        if nu >= 2:
+            below = prev[nu - 2].coefficients
+            out += [0] * (len(below) - len(out))
+            out[:len(below)] = map(operator.add, out, below)
+        if nu == n - 1:
+            out[1] += 1
+        row.append(Polynomial(out))
+    return tuple(row)
+
+
+def _served_lambda_row(n: int) -> tuple:
+    """(lambda(n, 1), ..., lambda(n, n)) as :func:`lambda_poly` serves them."""
+    return tuple(lambda_poly(n, v) for v in range(1, n + 1))
 
 
 def _k_split(v: int) -> Optional[Tuple[Polynomial, int]]:
@@ -174,39 +187,37 @@ def _k_split(v: int) -> Optional[Tuple[Polynomial, int]]:
     return None
 
 
-def _lambda_expansion_sum(n: int) -> Polynomial:
-    """sum_nu lambda(n, nu) F_nu, read from the table and multiplied out."""
-    total = Polynomial.zero()
-    for v in range(1, n + 1):
-        total = total + lambda_poly(n, v) * fubini_direct(v)
-    return total
-
-
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
-    # Row n of the table is first compared with its closed form
-    # (_lambda_closed_form) entry by entry.  Once it matches, the expansion is
+    # Row n as lambda_poly serves it is first compared entry by entry with
+    # row n of the recurrence, rolled forward here from lambda(1, 1) = 1 and
+    # kept one row at a time.  Once they match, the expansion is
     #   Fhat_n = F_n + (n-1) x F_(n-1) + (x^3+x^2) sum_(a+b=n-1) C(n-1,b-1) K_a K_b
     # over a, b >= 1, with K_v = F_v / x, since (x+1) F_a F_b = (x^3+x^2) K_a K_b.
     # The pair a < b is formed once with both weights, and K_a K_b is
     # A_a(u) A_b(u) (2x+1)^(e_a+e_b) by _k_split: one product of A parts.  The
     # sum is compared with Fhat_n in reflection parts at -1/2, a linear
-    # bijection, and a mismatch is reported rebuilt in the x-basis.  A row
-    # that differs from its closed form, or a K_v that does not split so,
-    # sends n to the table's own sum multiplied out.
+    # bijection, and a mismatch is reported rebuilt in the x-basis.  A served
+    # row that differs from the recurrence, or a K_v that does not split so,
+    # sends n to the served row's own sum multiplied out.
     splits: List[Optional[Tuple[Polynomial, int]]] = []     # splits[v - 1] of K_v
+    oracle, m = (Polynomial.one(),), 1                      # row m of the recurrence
     for n in ns:
         while len(splits) < n - 2:
             splits.append(_k_split(len(splits) + 1))
+        while m < n:
+            m += 1
+            oracle = _lambda_row(oracle, m)
         fhat = _row(hfubini_direct, n)
-        mismatch = next((nu for nu in range(1, n + 1)
-                         if lambda_poly(n, nu) != _lambda_closed_form(n, nu)), None)
+        served = _row(_served_lambda_row, n)
+        mismatch = next((nu for nu, (lam, want) in enumerate(zip(served, oracle), 1)
+                         if lam != want), None)
         if mismatch is not None or None in splits:
-            table_sum = _lambda_expansion_sum(n)
-            if mismatch is None or table_sum != fhat:
-                yield n, table_sum, fhat
+            served_sum = sum((lam * fubini_direct(v) for v, lam in enumerate(served, 1)),
+                             Polynomial.zero())
+            if mismatch is None or served_sum != fhat:
+                yield n, served_sum, fhat
             else:
-                entry, closed = lambda_poly(n, mismatch), _lambda_closed_form(n, mismatch)
-                yield n, (mismatch, entry), (mismatch, closed)
+                yield n, (mismatch, served[mismatch - 1]), (mismatch, oracle[mismatch - 1])
             continue
         sums = [Polynomial.zero()] * 3      # sums[e]: the pairs with e_a + e_b = e
         for a in range(1, (n - 1) // 2 + 1):
@@ -215,8 +226,10 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
             weight = math.comb(n - 1, b - 1) + (math.comb(n - 1, a - 1) if a < b else 0)
             sums[e_a + e_b] += part_a * part_b * weight
         # (2x+1)^2 = 1 + 4u, so the pairs sum to P(u) + (2x+1) Q(u): parts (P + Q, 2Q).
+        # x^3+x^2 = x u and x^2 = u - x, so x u (A(u) + x B(u)) has the parts
+        # (u^2 B, u (A - B)): for (P + Q, 2Q), two shifts (u^2 2Q, u (P - Q)).
         p, q = sums[0] + sums[2] * _ONE_PLUS_4U, sums[1]
-        tail = reflection_parts_product(_X3_PLUS_X2_PARTS, (p + q, q * 2), _MINUS_HALF)
+        tail = (Polynomial((0, 0) + (q * 2).coefficients), Polynomial((0,) + (p - q).coefficients))
         head = fubini_direct(n)
         if n >= 2:
             head += Polynomial.monomial(n - 1, 1) * fubini_direct(n - 1)
@@ -229,8 +242,7 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        for v in range(1, n + 1):
-            lam = lambda_poly(n, v)
+        for v, lam in enumerate(_row(_served_lambda_row, n), 1):
             yield n, (v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True)
 
 
@@ -243,8 +255,8 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        for v in range(1, n - 1):
-            yield n, (v, lambda_poly(n, v).in_reflection_class(_MINUS_HALF)), (v, True)
+        for v, lam in enumerate(_row(_served_lambda_row, n)[:n - 2], 1):
+            yield n, (v, lam.in_reflection_class(_MINUS_HALF)), (v, True)
 
 
 _CLOSURE_CASES = 200
@@ -300,7 +312,8 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
     # homomorphism, so the value is the same without building the polynomial.
     f_at = [None] + [fubini_direct(v)(_MINUS_HALF) for v in range(1, ns.stop - 2)]
     for n in ns:
-        total = sum(lambda_poly(n, v)(_MINUS_HALF) * f_at[v] for v in range(1, n - 1))
+        row = _row(_served_lambda_row, n)[:n - 2]
+        total = sum(lam(_MINUS_HALF) * f_at[v] for v, lam in enumerate(row, 1))
         yield n, total, Fraction(0)
 
 

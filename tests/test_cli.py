@@ -1,12 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import pytest
 
 import fubinipoly
 from fubinipoly import combinat, fubini
 from fubinipoly.cli import main
+from fubinipoly.exactpoly import format_value, json_value
 
 
 def run_cli(args, capsys):
@@ -115,6 +120,51 @@ def test_compute_json_nonintegral_coefficients_render_as_strings(capsys):
     code, out, _ = run_cli(["compute", "power-sum", "--n", "1", "--format", "json"], capsys)
     doc = json.loads(out)
     assert doc["coefficients"] == [0, "-1/2", "1/2"]
+
+
+@contextmanager
+def _int_str_guard(digits):
+    """Python's limit on int <-> str conversion set to ``digits`` (0: none)
+    for the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Exact results longer than the guard on int <-> str conversion: H_12000
+# has numerator and denominator past the default 4300 digits, and 400! is
+# past the smallest guard, 640 digits.  (2000! passes the default, but
+# compute sf grows the whole SF triangle to row 2000 for it, gigabytes.)
+@pytest.mark.parametrize("args,value,guard", [
+    (["compute", "harmonic", "--n", "12000"], lambda: combinat.harmonic(12000), 4300),
+    (["compute", "sf", "--n", "400", "--nu", "400"], lambda: math.factorial(400), 640),
+], ids=["harmonic-12000", "sf-400-400"])
+def test_compute_prints_values_longer_than_the_int_str_guard(capsys, args, value, guard):
+    value = value()
+    for fmt in ("plain", "json"):
+        with _int_str_guard(guard):
+            code, out, err = run_cli(args + ["--format", fmt], capsys)
+            assert sys.get_int_max_str_digits() == guard
+        assert (code, err) == (0, "")
+        with _int_str_guard(0):
+            if fmt == "plain":
+                assert out == format_value(value) + "\n"
+            else:
+                assert json.loads(out)["value"] == json_value(value)
+
+
+def test_compute_keeps_the_int_str_guard_on_its_inputs(capsys):
+    long_digits = "1" * 5000
+    with _int_str_guard(4300):
+        code, _, err = run_cli(["compute", "fubini", "--n", "2", "--at", f"1/{long_digits}"],
+                               capsys)
+        assert (code, "Exceeds the limit" in err) == (2, True)
+        code, _, err = run_cli(["compute", "harmonic", "--n", long_digits], capsys)
+        assert (code, "invalid int value" in err) == (2, True)
+        assert sys.get_int_max_str_digits() == 4300
 
 
 # --- verify -----------------------------------------------------------------

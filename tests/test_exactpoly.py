@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, int_times, json_value,
-                                  parse_rational, reflection_parts_product)
+                                  parse_rational)
 from fubinipoly.fubini import fubini_direct, hfubini_direct, lambda_poly, power_sum_poly, psi_poly
 from fubinipoly.transforms import binomial_transform
 
@@ -375,24 +375,6 @@ def test_from_reflection_parts_evaluates_to_the_definition(alpha):
     assert Polynomial.from_reflection_parts(Polynomial.zero(), Polynomial.zero(), 0) == Polynomial.zero()
     with pytest.raises(TypeError):
         Polynomial.from_reflection_parts(X, X, 0.5)
-
-
-@pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
-def test_reflection_parts_product_is_the_parts_of_the_product(alpha):
-    # Products of the axis' symmetric u = x^2 - 2 alpha x and antisymmetric
-    # x - alpha reach the two shortcuts; the random polynomials the generic path.
-    rng = random.Random(31)
-    symmetric, antisymmetric = Polynomial([0, -2 * alpha, 1]), Polynomial([-alpha, 1])
-    polys = [_random_exact_poly(rng, 8) for _ in range(30)]
-    for _ in range(30):
-        f = Polynomial([rng.randint(1, 5)])
-        for _ in range(rng.randint(0, 4)):
-            f = f * rng.choice((symmetric, antisymmetric))
-        polys.append(f)
-    for f in polys:
-        for g in rng.sample(polys, 6):
-            got = reflection_parts_product(f.reflection_parts(alpha), g.reflection_parts(alpha), alpha)
-            assert got == (f * g).reflection_parts(alpha), (f, g)
 
 
 def test_has_nonneg_int_coeffs():

@@ -1,6 +1,6 @@
 """Ring laws of Polynomial, the canonical form of every result, the
 antiderivative and evaluation against their definitions, the
-reflection-parts round trip and product, and the parse_rational /
+reflection-parts round trip, and the parse_rational /
 format_rational round trip, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
@@ -9,12 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import (
-    Polynomial,
-    format_rational,
-    parse_rational,
-    reflection_parts_product,
-)
+from fubinipoly.exactpoly import Polynomial, format_rational, parse_rational
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -117,13 +112,6 @@ def test_reflection_parts_round_trip(f, alpha):
     a, b = f.reflection_parts(alpha)
     assert Polynomial.from_reflection_parts(a, b, alpha) == f
     _assert_canonical(a, b)
-
-
-@PROPERTY
-@given(polys, polys, scalars)
-def test_reflection_parts_product_is_the_parts_of_the_product(f, g, alpha):
-    got = reflection_parts_product(f.reflection_parts(alpha), g.reflection_parts(alpha), alpha)
-    assert got == (f * g).reflection_parts(alpha)
 
 
 # Any size of numerator and denominator, so that the literal is not limited

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, fubini, verify
+from fubinipoly import combinat, verify
 from fubinipoly.combinat import bernoulli_akiyama_tanigawa, binomial_rat, harmonic, sf, sf_row
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import (
@@ -121,7 +121,7 @@ def test_lambda_degree_and_coefficients():
 
 
 def _lambda_row_by_polynomial_steps(prev, n):
-    # The reference for the integer route of fubini._lambda_row: the recurrence
+    # The reference for the integer route of verify._lambda_row: the recurrence
     # as three Polynomial operations per entry.
     x2_plus_x = Polynomial([0, 1, 1])
 
@@ -137,12 +137,17 @@ def _lambda_row_by_polynomial_steps(prev, n):
 
 
 def test_lambda_rows_match_polynomial_step_oracle():
-    want = (Polynomial.one(),)
+    # The integer recurrence, rolled from lambda(1, 1) = 1, agrees with the
+    # polynomial steps and with the rows lambda_poly serves in closed form.
+    got = want = (Polynomial.one(),)
     for n in range(2, 61):
         want = _lambda_row_by_polynomial_steps(want, n)
-        got = fubini.lambda_table[n]
+        got = verify._lambda_row(got, n)
         assert got == want, n
         assert all(type(c) is int for lam in got for c in lam), n
+        served = tuple(lambda_poly(n, nu) for nu in range(1, n + 1))
+        assert served == got, n
+        assert all(type(c) is int for lam in served for c in lam), n
 
 
 def test_lambda_closed_form():
@@ -355,8 +360,8 @@ def test_power_sum_gn_refuses_inexact_points(x):
     (combinat.bernoulli, combinat.bernoulli_table, lambda top: (float(top),)),
     (combinat.bernoulli_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
     (fubini_direct, combinat.sf_table, lambda top: (float(top),)),
-    (lambda_poly, fubini.lambda_table, lambda top: (float(top), 1)),
-    (lambda_poly, fubini.lambda_table, lambda top: (top, 1.0)),
+    (lambda_poly, combinat.sf_table, lambda top: (float(top), 1)),
+    (lambda_poly, combinat.sf_table, lambda top: (top, 1.0)),
     (power_sum_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
     (power_sum_gn, combinat.sf_table, lambda top: (float(top), 2)),
 ], ids=["stirling2-n", "stirling2-k", "sf-n", "sf-k", "sf_row", "harmonic", "bernoulli",

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -169,7 +170,7 @@ def test_an_override_between_passes_reaches_the_shared_rows():
     with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
         fh = run_suite(12, _ROW_READERS)[0]
     assert (fh.status, fh.witness_n, fh.lhs, fh.rhs) == ("fail", 4, "28", "4")
-    with fubini.lambda_table.override(6, _lambda_6_1_plus_x(fubini.lambda_table[6])):
+    with _SERVED_LAMBDA.override(6, _lambda_6_1_plus_x(_SERVED_LAMBDA[6])):
         reflection = run_suite(12, _ROW_READERS)[_ROW_READERS.index("lambda-reflection")]
     assert (reflection.witness_n, reflection.lhs) == (6, "(1, false)")
     assert all(r.passed for r in run_suite(12, _ROW_READERS))
@@ -184,12 +185,14 @@ def test_cases_outside_a_pass_build_their_own_rows():
 
 
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
-    built = []
+    built = {"hfubini_direct": [], "_served_lambda_row": []}
     sizes = []
 
-    def counted(build):
+    def counted(name):
+        build = getattr(verify, name)
+
         def count(n):
-            built.append(n)
+            built[name].append(n)
             return build(n)
         return count
 
@@ -200,11 +203,13 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
                 yield case
         return pull_and_watch
 
-    monkeypatch.setattr(verify, "hfubini_direct", counted(verify.hfubini_direct))
+    for name in built:
+        monkeypatch.setattr(verify, name, counted(name))
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, cases=watched(check.cases)))
     assert all(r.passed for r in run_suite(60, "all"))
-    assert sorted(built) == list(range(1, 61))
+    assert {name: sorted(ns) for name, ns in built.items()} == {name: list(range(1, 61))
+                                                                for name in built}
     assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
 
 
@@ -255,12 +260,54 @@ def _bump_third(row):
     return row[:2] + (row[2] + 1,) + row[3:]
 
 
-# One corrupted entry per memo table; each row is (table, index, corruption,
-# a check that reads the entry, the smallest index that check can see it at,
-# and the two sides it then reports).
+@contextmanager
+def _patched(name, replacement):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, name, replacement)
+        yield
+
+
+class _ServedLambdaRows:
+    """The rows lambda(n, 1..n) as verify reads them from lambda_poly, which
+    holds no memo table: ``override`` corrupts row n for a block by patching
+    ``verify.lambda_poly``, as a memo table's override would."""
+
+    def __getitem__(self, n):
+        return verify._served_lambda_row(n)
+
+    def override(self, n, row):
+        served = verify.lambda_poly
+        return _patched("lambda_poly",
+                        lambda m, nu: row[nu - 1] if m == n and 1 <= nu <= n else served(m, nu))
+
+
+class _OracleLambdaRows:
+    """The rows of the recurrence that lambda-expansion rolls forward by
+    ``verify._lambda_row``: ``override`` replaces that function's row n."""
+
+    def __getitem__(self, n):
+        row = (Polynomial.one(),)
+        for m in range(2, n + 1):
+            row = verify._lambda_row(row, m)
+        return row
+
+    def override(self, n, row):
+        roll = verify._lambda_row
+        return _patched("_lambda_row", lambda prev, m: row if m == n else roll(prev, m))
+
+
+_SERVED_LAMBDA = _ServedLambdaRows()
+_ORACLE_LAMBDA = _OracleLambdaRows()
+
+
+# One corrupted entry per memo table, and per source of lambda rows; each row
+# is (table, index, corruption, a check that reads the entry, the smallest
+# index that check can see it at, and the two sides it then reports).
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
 # lambda(6,1) + x is read by three checks: the polynomial expansion, the
 # reflection test (x is not symmetric about -1/2) and the value at -1/2.
+# The same corruption of the recurrence's row is seen by lambda-expansion
+# alone, as an entry that differs from the served one.
 # fh-derivative-form cannot see an SF corruption, by design: both of its
 # sides read the same SF row, and the identity holds coefficient by
 # coefficient for any row, so only its harmonic side is in the matrix.
@@ -280,7 +327,7 @@ def _lambda_6_1_plus_antisymmetric(row):
 
 
 # lambda(6,1) + F_2 and lambda(6,2) - x leave sum_nu lambda(6,nu) F_nu as it
-# is, since F_1 = x; only the comparison with the closed form sees them.
+# is, since F_1 = x; only the comparison with the recurrence sees them.
 def _lambda_6_compensating(row):
     return (row[0] + fubini.fubini_direct(2), row[1] - Polynomial.x()) + row[2:]
 
@@ -293,7 +340,7 @@ def _lambda_6_plus_one_at(nu):
 
 _FHAT_6 = "[0, 1, 93, 990, 3250, 4110, 1764]"
 
-# lambda(6, nu) + 1 adds F_nu to the table's sum, which lambda-expansion reports.
+# lambda(6, nu) + 1 adds F_nu to the served row's sum, which lambda-expansion reports.
 _LAMBDA_6_PLUS_ONE_SUMS = {
     1: "[0, 2, 93, 990, 3250, 4110, 1764]",
     2: "[0, 2, 95, 990, 3250, 4110, 1764]",
@@ -322,23 +369,25 @@ _LAMBDA_6_PLUS_ONE_SUMS = {
      "1/42", "5/14"),
     (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4,
      "24619/125000", "-381/125000"),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
+    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
      "[0, 1, 94, 990, 3250, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
-    (fubini.lambda_table, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
+    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
+    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
+    (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
-    (fubini.lambda_table, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
+    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
      "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
-    (fubini.lambda_table, 6, _lambda_6_compensating, "lambda-expansion", 6,
+    (_SERVED_LAMBDA, 6, _lambda_6_compensating, "lambda-expansion", 6,
      "(1, [0, 2, 17, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
+    (_ORACLE_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
+     "(1, [0, 1, 15, 50, 60, 24])", "(1, [0, 2, 15, 50, 60, 24])"),
 ] + [
-    (fubini.lambda_table, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, _FHAT_6)
+    (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, _FHAT_6)
     for nu, lhs in _LAMBDA_6_PLUS_ONE_SUMS.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
-        "lambda/antisymmetric-entry", "lambda/compensating"]
+        "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle"]
     + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_SUMS])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
@@ -357,7 +406,7 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
 def test_lambda_expansion_multiplies_out_the_table_when_k_does_not_split():
     # With SF(5,2) + 1, K_5 = F_5 / x is no longer A(u) (2x+1)^e, so from
     # n = 7, where K_5 first enters a pair, the check must fall back to the
-    # table's sum rather than use the product of A parts.
+    # served row's sum rather than use the product of A parts.
     corrupted = list(combinat.sf_row(5))
     corrupted[2] += 1
     ns = range(7, 10)
