@@ -30,15 +30,6 @@ from .exactpoly import Polynomial, format_rational, format_value, json_value, pa
 SCHEMA_VERSION = 1
 
 
-def _lambda_in_range(n: int, nu: int) -> Polynomial:
-    """lambda(n, nu), refusing nu outside 1..n as stirling and sf refuse k > n;
-    the library itself returns the zero polynomial there."""
-    value = fubini.lambda_poly(n, nu)       # refuses n < 1 first
-    if not 1 <= nu <= n:
-        raise ValueError(f"nu must lie in 1..n: got (n={n}, nu={nu})")
-    return value
-
-
 # compute: family -> (builder(n, nu), whether the family reads --nu (then it
 # is required, else refused), whether the result is a polynomial that --at
 # may evaluate).  Builders look the library function up at call time, so a
@@ -46,7 +37,7 @@ def _lambda_in_range(n: int, nu: int) -> Polynomial:
 _COMPUTE_FAMILIES = {
     "fubini": (lambda n, nu: fubini.fubini_direct(n), False, True),
     "hfubini": (lambda n, nu: fubini.hfubini_direct(n), False, True),
-    "lambda": (_lambda_in_range, True, True),
+    "lambda": (lambda n, nu: fubini.lambda_poly(n, nu), True, True),
     "psi": (lambda n, nu: fubini.psi_poly(n), False, True),
     "bernoulli": (lambda n, nu: combinat.bernoulli_poly(n), False, True),
     "stirling": (lambda n, nu: combinat.stirling2(n, nu), True, False),

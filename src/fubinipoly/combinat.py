@@ -25,17 +25,19 @@ class MemoTable:
     ``table[n]`` returns row n; a missing row m is computed as
     ``extend(table[m - 1], m)`` under this table's own lock, so completed
     rows are never recomputed and are safe to read from any thread.  Rows
-    are whatever ``extend`` returns (a tuple of a triangle's row, a single
-    number, a polynomial) and must not be mutated.  Indices are not
-    validated here; the public functions that read a table do that.
+    are whatever ``extend`` returns (a tuple of a triangle's row or a single
+    number) and must not be mutated.  Indices are not validated here; the
+    public functions that read a table do that.
     """
 
     __slots__ = ("_rows", "_extend", "_lock")
+    _all: List["MemoTable"] = []        # every table made, for override to cut back
 
     def __init__(self, first_rows: Sequence, extend: Callable[[Any, int], Any]):
         self._rows: List = list(first_rows)
         self._extend = extend
         self._lock = threading.Lock()
+        MemoTable._all.append(self)
 
     def __getitem__(self, n: int):
         rows = self._rows
@@ -51,15 +53,20 @@ class MemoTable:
     def override(self, n: int, value) -> Iterator[None]:
         """Replace row n by ``value`` for the duration of the block, for
         fault-injection tests.  Row n + 1 is grown first, so no later row of
-        this table is ever derived from the replacement; rows of other
-        tables already grown from row n keep their true values."""
+        this table is derived from the replacement.  Rows that any table
+        grows inside the block may be, so at its end every table is cut back
+        to its length at the start; rows grown before keep their values."""
         self[n + 1]
+        lengths = [(table, len(table._rows)) for table in MemoTable._all]
         original = self._rows[n]
         self._rows[n] = value
         try:
             yield
         finally:
             self._rows[n] = original
+            for table, length in lengths:
+                with table._lock:
+                    del table._rows[length:]
 
 
 def _stirling2_row(prev: Sequence, n: int) -> tuple:
@@ -105,9 +112,6 @@ sf_table = MemoTable([(1,)], _sf_row)
 # Index 0 is an internal base, never exposed.
 harmonic_table = MemoTable([Fraction(0)], lambda prev, n: prev + Fraction(1, n))
 bernoulli_table = MemoTable([Fraction(1)], _bernoulli_value)
-# B_n(x) = n * antiderivative of B_(n-1)(x), plus the constant B_n.
-bernoulli_poly_table = MemoTable(
-    [Polynomial.one()], lambda prev, n: prev.antiderivative() * n + bernoulli_table[n])
 
 
 def stirling2(n: int, k: int) -> int:
@@ -195,9 +199,9 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int) -> Polynomial:
-    """Bernoulli polynomial B_n(x): B_0(x) = 1, B_n'(x) = n*B_{n-1}(x),
-    constant term B_n(0) = B_n.  Built by antidifferentiation plus constant
-    fixing; results are memoized."""
+    """Bernoulli polynomial B_n(x) = sum_{k=0..n} C(n,k) B_(n-k) x^k, built
+    afresh on each call from the memoized Bernoulli numbers.  It satisfies
+    B_0(x) = 1, B_n'(x) = n B_(n-1)(x) and B_n(0) = B_n."""
     if operator.index(n) < 0:
         raise ValueError("n must be nonnegative")
-    return bernoulli_poly_table[n]
+    return Polynomial([math.comb(n, k) * bernoulli_table[n - k] for k in range(n + 1)])

@@ -74,14 +74,14 @@ def hfubini_rec(n: int) -> Polynomial:
 
 
 def lambda_poly(n: int, nu: int) -> Polynomial:
-    """Connection polynomial lambda(n, nu); zero for nu outside 1..n.
+    """Connection polynomial lambda(n, nu); ValueError for nu outside 1..n.
 
     Served from its closed form: C(n-1, nu-1) (x+1) F_(n-1-nu) for
     nu <= n-2, (n-1) x for nu = n-1 and 1 for nu = n.  Every entry has
     nonnegative integer coefficients and degree n - nu."""
     _require_positive(n)
     if operator.index(nu) < 1 or nu > n:
-        return Polynomial.zero()
+        raise ValueError(f"nu must lie in 1..n: got (n={n}, nu={nu})")
     if nu == n:
         return Polynomial.one()
     if nu == n - 1:

@@ -54,10 +54,11 @@ def test_compute_lambda_refuses_nu_outside_one_to_n(capsys):
         code, out, err = run_cli(["compute", "lambda", "--n", "4", "--nu", nu], capsys)
         assert (code, out) == (2, ""), nu
         assert f"error: nu must lie in 1..n: got (n=4, nu={nu})" in err
-    # an invalid n is still reported as such, and the library keeps its zero
+    # an invalid n is still reported as such, and the library refuses nu too
     code, _, err = run_cli(["compute", "lambda", "--n", "0", "--nu", "9"], capsys)
     assert code == 2 and "n must be a positive integer" in err
-    assert fubini.lambda_poly(4, 9).is_zero()
+    with pytest.raises(ValueError, match=r"nu must lie in 1\.\.n: got \(n=4, nu=9\)"):
+        fubini.lambda_poly(4, 9)
 
 
 def test_compute_scalar_families(capsys):

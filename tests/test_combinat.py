@@ -238,6 +238,11 @@ def test_memo_table_override_never_feeds_later_rows():
         with table.override(2, -1):
             raise RuntimeError
     assert table[2] == 3
+    # a row another table grows from the replacement is dropped at the end
+    doubled = MemoTable([0], lambda prev, n: 2 * table[n])
+    with table.override(6, 100):
+        assert doubled[6] == 200
+    assert doubled[6] == 42
 
 
 # --- shared-cache concurrency smoke ----------------------------------------------------

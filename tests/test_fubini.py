@@ -176,11 +176,12 @@ def test_fubini_reflection_about_minus_half():
             == Polynomial([1, 1]) * f * (-1) ** v, v
 
 
-def test_lambda_out_of_range_is_zero():
-    assert lambda_poly(3, 0).is_zero()
-    assert lambda_poly(3, 4).is_zero()
-    with pytest.raises(ValueError):
-        lambda_poly(0, 1)
+def test_lambda_out_of_range_is_refused():
+    for nu in (0, 4, -1):
+        with pytest.raises(ValueError, match=rf"nu must lie in 1\.\.n: got \(n=3, nu={nu}\)"):
+            lambda_poly(3, nu)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        lambda_poly(0, 9)       # n is checked first
 
 
 def test_lambda_expansion_reconstructs_hfubini():
@@ -358,11 +359,11 @@ def test_power_sum_gn_refuses_inexact_points(x):
     (combinat.sf_row, combinat.sf_table, lambda top: (float(top),)),
     (combinat.harmonic, combinat.harmonic_table, lambda top: (float(top),)),
     (combinat.bernoulli, combinat.bernoulli_table, lambda top: (float(top),)),
-    (combinat.bernoulli_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
+    (combinat.bernoulli_poly, combinat.bernoulli_table, lambda top: (float(top),)),
     (fubini_direct, combinat.sf_table, lambda top: (float(top),)),
     (lambda_poly, combinat.sf_table, lambda top: (float(top), 1)),
     (lambda_poly, combinat.sf_table, lambda top: (top, 1.0)),
-    (power_sum_poly, combinat.bernoulli_poly_table, lambda top: (float(top),)),
+    (power_sum_poly, combinat.bernoulli_table, lambda top: (float(top),)),
     (power_sum_gn, combinat.sf_table, lambda top: (float(top), 2)),
 ], ids=["stirling2-n", "stirling2-k", "sf-n", "sf-k", "sf_row", "harmonic", "bernoulli",
         "bernoulli_poly", "fubini_direct", "lambda_poly-n", "lambda_poly-nu",

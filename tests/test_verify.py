@@ -1,10 +1,16 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+import fubinipoly
 from fubinipoly import combinat, fubini, verify
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
@@ -261,9 +267,9 @@ def _bump_third(row):
 
 
 @contextmanager
-def _patched(name, replacement):
+def _patched(module, name, replacement):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, name, replacement)
+        mp.setattr(module, name, replacement)
         yield
 
 
@@ -277,7 +283,7 @@ class _ServedLambdaRows:
 
     def override(self, n, row):
         served = verify.lambda_poly
-        return _patched("lambda_poly",
+        return _patched(verify, "lambda_poly",
                         lambda m, nu: row[nu - 1] if m == n and 1 <= nu <= n else served(m, nu))
 
 
@@ -293,17 +299,33 @@ class _OracleLambdaRows:
 
     def override(self, n, row):
         roll = verify._lambda_row
-        return _patched("_lambda_row", lambda prev, m: row if m == n else roll(prev, m))
+        return _patched(verify, "_lambda_row", lambda prev, m: row if m == n else roll(prev, m))
+
+
+class _ServedBernoulliPolys:
+    """The polynomials B_n(x) as power_sum_poly reads them from
+    bernoulli_poly, which holds no memo table: ``override`` corrupts B_n(x)
+    for a block by patching ``fubini.bernoulli_poly``."""
+
+    def __getitem__(self, n):
+        return fubini.bernoulli_poly(n)
+
+    def override(self, n, poly):
+        served = fubini.bernoulli_poly
+        return _patched(fubini, "bernoulli_poly", lambda m: poly if m == n else served(m))
 
 
 _SERVED_LAMBDA = _ServedLambdaRows()
 _ORACLE_LAMBDA = _OracleLambdaRows()
+_SERVED_BERNOULLI_POLY = _ServedBernoulliPolys()
 
 
 # One corrupted entry per memo table, and per source of lambda rows; each row
 # is (table, index, corruption, a check that reads the entry, the smallest
 # index that check can see it at, and the two sides it then reports).
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
+# B_6 enters it at n = 6, as the x term of B_7(x): at n = 5 the constant of
+# B_6(x) and the B_6 subtracted from it are the same corrupted value.
 # lambda(6,1) + x is read by three checks: the polynomial expansion, the
 # reflection test (x is not symmetric about -1/2) and the value at -1/2.
 # The same corruption of the recurrence's row is seen by lambda-expansion
@@ -367,7 +389,9 @@ _LAMBDA_6_PLUS_ONE_SUMS = {
     (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "bt-harmonic", 4, "-3/28", "-1/4"),
     (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "worpitzky-integral", 6,
      "1/42", "5/14"),
-    (combinat.bernoulli_poly_table, 5, lambda p: p + 1, "power-sum-agree", 4,
+    (combinat.bernoulli_table, 6, lambda b: b + Fraction(1, 3), "power-sum-agree", 6,
+     "-293154350/2187", "-293149490/2187"),
+    (_SERVED_BERNOULLI_POLY, 5, lambda p: p + 1, "power-sum-agree", 4,
      "24619/125000", "-381/125000"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
      "[0, 1, 94, 990, 3250, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
@@ -385,7 +409,8 @@ _LAMBDA_6_PLUS_ONE_SUMS = {
     (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, _FHAT_6)
     for nu, lhs in _LAMBDA_6_PLUS_ONE_SUMS.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
-        "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B(x)",
+        "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
+        "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
         "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle"]
     + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_SUMS])
@@ -401,6 +426,52 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
     assert (report.lhs, report.rhs) == (lhs, rhs)
     assert (in_pass.status, in_pass.witness_n, in_pass.lhs, in_pass.rhs) == ("fail", witness, lhs, rhs)
     assert run_check(check_id, 12).passed
+
+
+# The matrix above warms every table before it corrupts one.  A fresh
+# interpreter grows the other tables inside the override block instead, from
+# the replacement; the block's end must drop those rows too.
+def _report_in_fresh_interpreter(script):
+    """Run ``script`` after a prelude that defines ``report(check_id)`` in a
+    fresh interpreter, and return the (status, witness, lhs, rhs) lists it
+    printed, one JSON line each."""
+    prelude = ("import json\n"
+               "from fractions import Fraction\n"
+               "from fubinipoly import combinat\n"
+               "from fubinipoly.verify import run_check\n"
+               "def report(check_id):\n"
+               "    r = run_check(check_id, 12)\n"
+               "    print(json.dumps([r.status, r.witness_n, r.lhs, r.rhs]))\n")
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(fubinipoly.__file__)))
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": package_parent})
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_a_cold_bernoulli_override_is_seen_by_power_sum_agree_and_then_undone():
+    inside, after = _report_in_fresh_interpreter("""
+        with combinat.bernoulli_table.override(6, combinat.bernoulli(6) + Fraction(1, 3)):
+            report("power-sum-agree")
+        report("power-sum-agree")
+        """)
+    assert inside == ["fail", 6, "-293154350/2187", "-293149490/2187"]
+    assert after == ["pass", None, None, None]
+
+
+def test_an_override_drops_the_rows_other_tables_grow_from_it():
+    inside, after, value = _report_in_fresh_interpreter("""
+        row = list(combinat.sf_row(6))
+        row[3] += 1
+        with combinat.sf_table.override(6, tuple(row)):
+            report("worpitzky-integral")    # B_6 grows from the corrupted row
+        report("worpitzky-integral")
+        print(json.dumps(str(combinat.bernoulli(6))))
+        """)
+    assert inside == ["pass", None, None, None]
+    assert after == ["pass", None, None, None]
+    assert value == "1/42"
 
 
 def test_lambda_expansion_multiplies_out_the_table_when_k_does_not_split():
