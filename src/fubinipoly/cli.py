@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from typing import List, Optional
 
 from . import combinat, fubini, verify
-from .exactpoly import Polynomial, format_rational, format_value, json_value, parse_rational
+from .exactpoly import Polynomial, format_rational, format_value, index, json_value, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -162,20 +161,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be positive, got {args.max_n}")
-    rows = list(_TABLE_FAMILIES[args.family](args.max_n))
+    # Each row is written as soon as it is made, so memory stays that of one row.
+    rows = _TABLE_FAMILIES[args.family](index(args.max_n, 1, name="--max-n"))
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "family": args.family,
-                          "max_n": args.max_n,
-                          "rows": [{k: json_value(v) for k, v in row.items()} for row in rows]}))
+        envelope = json.dumps({"schema_version": SCHEMA_VERSION, "family": args.family,
+                               "max_n": args.max_n, "rows": []})
+        sys.stdout.write(envelope[:-len("]}")])
+        for i, row in enumerate(rows):
+            sys.stdout.write((", " if i else "")
+                             + json.dumps({k: json_value(v) for k, v in row.items()}))
+        sys.stdout.write("]}\n")
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(rows[0].keys())
-        for row in rows:
+        writer = csv.writer(sys.stdout)
+        for i, row in enumerate(rows):
+            if not i:
+                writer.writerow(row.keys())
             writer.writerow([format_value(v) for v in row.values()])
-        sys.stdout.write(buf.getvalue())
     else:
         for row in rows:
             print("  ".join(f"{k}={format_value(v)}" for k, v in row.items()))

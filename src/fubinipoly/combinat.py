@@ -10,13 +10,12 @@ and cross-checked by two independent algorithms (see :func:`bernoulli` and
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Callable, Iterator, List, Sequence
 
-from .exactpoly import Polynomial, Rational, exact
+from .exactpoly import Polynomial, Rational, exact, index
 
 
 class MemoTable:
@@ -116,28 +115,22 @@ bernoulli_table = MemoTable([Fraction(1)], _bernoulli_value)
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks."""
-    if operator.index(n) < 0 or operator.index(k) < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k > n:
-        raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
+    n = index(n, 0)
+    k = index(k, 0, n, "k")
     return stirling2_table[n][k]
 
 
 def sf(n: int, k: int) -> int:
     """The scaled Stirling number k! * S2(n, k), counting ordered partitions
     of an n-set into k blocks; computed by its own triangle recurrence."""
-    if operator.index(n) < 0 or operator.index(k) < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k > n:
-        raise ValueError(f"k must not exceed n: got (n={n}, k={k})")
+    n = index(n, 0)
+    k = index(k, 0, n, "k")
     return sf_table[n][k]
 
 
 def sf_row(n: int) -> tuple:
     """Row n of the scaled-Stirling triangle: (SF(n,0), ..., SF(n,n))."""
-    if operator.index(n) < 0:
-        raise ValueError(f"negative row index: {n}")
-    return sf_table[n]
+    return sf_table[index(n, 0)]
 
 
 def harmonic(n: int) -> Fraction:
@@ -145,24 +138,17 @@ def harmonic(n: int) -> Fraction:
 
     n = 0 is rejected: no formula in this library evaluates H_0.
     """
-    if operator.index(n) < 1:
-        raise ValueError(f"harmonic(n) requires n >= 1, got {n}")
-    return harmonic_table[n]
+    return harmonic_table[index(n, 1)]
 
 
 def binomial(n: int, k: int) -> int:
     """Pascal-triangle binomial coefficient; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(index(n, 0), index(k, 0, name="k"))
 
 
 def binomial_rat(x: Rational, k: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-k+1) / k! for rational x."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = index(k, 0, name="k")
     x = exact(x)
     num = Fraction(1)
     for i in range(k):
@@ -177,9 +163,7 @@ def bernoulli(n: int) -> Fraction:
     (Worpitzky's summation), B_0 = 1.  Values are memoized; the independent
     Akiyama-Tanigawa route exists purely as a cross-check.
     """
-    if operator.index(n) < 0:
-        raise ValueError("n must be nonnegative")
-    return bernoulli_table[n]
+    return bernoulli_table[index(n, 0)]
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -189,8 +173,7 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     transformation natively yields the +1/2 convention, so the result is
     reflected by (-1)^n to match the library's convention.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = index(n, 0)
     row = [Fraction(1, j + 1) for j in range(n + 1)]
     for i in range(1, n + 1):
         for j in range(n + 1 - i):
@@ -202,6 +185,5 @@ def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x) = sum_{k=0..n} C(n,k) B_(n-k) x^k, built
     afresh on each call from the memoized Bernoulli numbers.  It satisfies
     B_0(x) = 1, B_n'(x) = n B_(n-1)(x) and B_n(0) = B_n."""
-    if operator.index(n) < 0:
-        raise ValueError("n must be nonnegative")
+    n = index(n, 0)
     return Polynomial([math.comb(n, k) * bernoulli_table[n - k] for k in range(n + 1)])

@@ -8,10 +8,11 @@ everywhere: there is no approximate mode in this library.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -48,6 +49,22 @@ def exact(value) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact value required (int or Fraction), got {type(value).__name__}")
+
+
+def index(value, low: int, high: Optional[int] = None, name: str = "n") -> int:
+    """The one index gate: ``value`` as an ``int`` in ``low..high``, or an error.
+
+    ``operator.index`` refuses a float, a ``Fraction`` or a string with
+    ``TypeError`` before the caller reads or grows any table.  An index
+    below ``low``, or above ``high`` when there is a top, is refused with
+    ``ValueError``, worded the same for every index of the library."""
+    value = operator.index(value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+    return value
 
 
 def int_times(k: int, value: Rational) -> Rational:
@@ -138,8 +155,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, coefficient: Rational, power: int) -> "Polynomial":
         """The polynomial ``coefficient * x**power``."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        power = index(power, 0, name="power")
         coefficient = exact(coefficient)
         if coefficient == 0:
             return _ZERO

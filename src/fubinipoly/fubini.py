@@ -19,32 +19,24 @@ table of its own; their recurrence is the oracle that the ``verify`` check
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .combinat import bernoulli, bernoulli_poly, harmonic, sf_row
-from .exactpoly import Polynomial, Rational, exact, int_times
+from .exactpoly import Polynomial, Rational, exact, index, int_times
 
 _X = Polynomial.x()
 _X2_PLUS_X = Polynomial([0, 1, 1])
 
 
-def _require_positive(n: int) -> None:
-    if operator.index(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-
-
 def fubini_direct(n: int) -> Polynomial:
     """F_n straight from the definition: coefficient of x^v is SF(n, v)."""
-    _require_positive(n)
-    return Polynomial(sf_row(n))
+    return Polynomial(sf_row(index(n, 1)))
 
 
 def fubini_rec(n: int) -> Polynomial:
     """F_n built from F_1 = x via F_{m+1} = (x^2+x) F_m' + x F_m."""
-    _require_positive(n)
     f = _X
-    for _ in range(n - 1):
+    for _ in range(index(n, 1) - 1):
         f = _X2_PLUS_X * f.derivative() + _X * f
     return f
 
@@ -56,7 +48,7 @@ def hfubini_direct(n: int) -> Polynomial:
     which divides v! and so SF(n, v).  :func:`int_times` finds it by one
     exact division, and keeps the Fraction product for an entry where the
     division leaves a remainder."""
-    _require_positive(n)
+    n = index(n, 1)
     row = sf_row(n)
     return Polynomial([0] + [int_times(row[v], harmonic(v)) for v in range(1, n + 1)])
 
@@ -64,10 +56,9 @@ def hfubini_direct(n: int) -> Polynomial:
 def hfubini_rec(n: int) -> Polynomial:
     """Fhat_n built from Fhat_1 = x via
     Fhat_{m+1} = (x^2+x) Fhat_m' + x Fhat_m + x F_m."""
-    _require_positive(n)
     f = _X
     h = _X
-    for _ in range(n - 1):
+    for _ in range(index(n, 1) - 1):
         h = _X2_PLUS_X * h.derivative() + _X * h + _X * f
         f = _X2_PLUS_X * f.derivative() + _X * f
     return h
@@ -79,9 +70,8 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
     Served from its closed form: C(n-1, nu-1) (x+1) F_(n-1-nu) for
     nu <= n-2, (n-1) x for nu = n-1 and 1 for nu = n.  Every entry has
     nonnegative integer coefficients and degree n - nu."""
-    _require_positive(n)
-    if operator.index(nu) < 1 or nu > n:
-        raise ValueError(f"nu must lie in 1..n: got (n={n}, nu={nu})")
+    n = index(n, 1)
+    nu = index(nu, 1, n, "nu")
     if nu == n:
         return Polynomial.one()
     if nu == n - 1:
@@ -94,8 +84,7 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
 def psi_poly(n: int) -> Polynomial:
     """The combination sum_{v=1..n} SF(n,v) ((v-1) H_v + (n-1)) x^v, which
     vanishes at x = -1/2 for odd n, built by :func:`psi_from_hfubini` from
-    Fhat_n."""
-    _require_positive(n)
+    Fhat_n, which checks n."""
     return psi_from_hfubini(n, hfubini_direct(n))
 
 
@@ -110,8 +99,7 @@ def psi_from_hfubini(n: int, fhat: Polynomial) -> Polynomial:
 def remainder_R(n: int) -> Polynomial:
     """The tail sum_{v=1..n-2} lambda(n,v) F_v left after splitting off the
     top two terms of the lambda-expansion of Fhat_n; zero for n = 2."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    n = index(n, 2)
     total = Polynomial.zero()
     for v in range(1, n - 1):
         total = total + lambda_poly(n, v) * fubini_direct(v)
@@ -121,8 +109,7 @@ def remainder_R(n: int) -> Polynomial:
 def power_sum_poly(n: int) -> Polynomial:
     """The degree-(n+1) polynomial with S_n(m) = sum_{v=0..m-1} v^n at
     integer points, realized as (B_{n+1}(x) - B_{n+1}) / (n+1)."""
-    if operator.index(n) < 0:
-        raise ValueError("n must be nonnegative")
+    n = index(n, 0)
     return (bernoulli_poly(n + 1) - bernoulli(n + 1)) * Fraction(1, n + 1)
 
 
@@ -138,8 +125,7 @@ def power_sum_gn(n: int, x: Rational) -> Fraction:
     q^(n-k) (n+1)!/(k+1)! of terms k-1 and k.  Nothing is divided until the
     one Fraction formed at the end.
     """
-    if operator.index(n) < 0:
-        raise ValueError("n must be nonnegative")
+    n = index(n, 0)
     x = exact(x)
     p, q = x.numerator, x.denominator
     row = sf_row(n)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
-from .exactpoly import Polynomial, format_value
+from .exactpoly import Polynomial, format_value, index
 from .fubini import (
     fubini_direct,
     hfubini_direct,
@@ -72,13 +72,6 @@ class IdentityReport:
 
 
 # --- rows shared within a pass -----------------------------------------------
-
-# A pass advances its checks together, index by index (see _run_pass).  At
-# index n, a check pulling its next case reads the row of n + 1, or of n + 2
-# when it steps by two, and a check with several cases at one index keeps
-# its row itself; so two rows of each kind serve every read of a pass, and
-# each row is built once.
-PASS_ROWS_PER_KIND = 2
 
 # For the running pass, build -> {n: build(n)}; None outside a pass.
 _pass_rows: ContextVar[Optional[Dict[Callable, Dict[int, object]]]] = ContextVar(
@@ -197,8 +190,9 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
     # A_a(u) A_b(u) (2x+1)^(e_a+e_b) by _k_split: one product of A parts.  The
     # sum is compared with Fhat_n in reflection parts at -1/2, a linear
     # bijection, and a mismatch is reported rebuilt in the x-basis.  A served
-    # row that differs from the recurrence, or a K_v that does not split so,
-    # sends n to the served row's own sum multiplied out.
+    # row that differs from the recurrence is reported as its first differing
+    # entry (nu, served) against (nu, recurrence); a K_v that _k_split
+    # refuses, as (v, false) against (v, true).
     splits: List[Optional[Tuple[Polynomial, int]]] = []     # splits[v - 1] of K_v
     oracle, m = (Polynomial.one(),), 1                      # row m of the recurrence
     for n in ns:
@@ -211,13 +205,12 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
         served = _row(_served_lambda_row, n)
         mismatch = next((nu for nu, (lam, want) in enumerate(zip(served, oracle), 1)
                          if lam != want), None)
-        if mismatch is not None or None in splits:
-            served_sum = sum((lam * fubini_direct(v) for v, lam in enumerate(served, 1)),
-                             Polynomial.zero())
-            if mismatch is None or served_sum != fhat:
-                yield n, served_sum, fhat
-            else:
-                yield n, (mismatch, served[mismatch - 1]), (mismatch, oracle[mismatch - 1])
+        if mismatch is not None:
+            yield n, (mismatch, served[mismatch - 1]), (mismatch, oracle[mismatch - 1])
+            continue
+        if None in splits:
+            refused = splits.index(None) + 1
+            yield n, (refused, False), (refused, True)
             continue
         sums = [Polynomial.zero()] * 3      # sums[e]: the pairs with e_a + e_b = e
         for a in range(1, (n - 1) // 2 + 1):
@@ -302,9 +295,8 @@ _GOLDEN_LAMBDA_ROWS = {
 
 def _cases_table_fh_fs(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        computed = tuple(lambda_poly(n, v) for v in range(1, n + 1))
         expected = tuple(Polynomial(c) for c in _GOLDEN_LAMBDA_ROWS[n])
-        yield n, computed, expected
+        yield n, _row(_served_lambda_row, n), expected
 
 
 def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -471,6 +463,13 @@ _ALL_CHECKS: Sequence[IdentityCheck] = (
 CHECKS = {check.check_id: check for check in _ALL_CHECKS}
 CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
+# A pass advances its checks together, index by index (see _run_pass).  At
+# index n, a check pulling its next case reads the row of n + its step, and
+# a check with several cases at one index keeps its row itself; so as many
+# rows of each kind as the largest step serve every read of a pass, and
+# each row is built once.
+PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
+
 
 class _Scan:
     """One check's cases within a pass: its next case and what it has seen.
@@ -539,9 +538,7 @@ def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> Identit
     reports "empty", which does not count as a pass."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id!r}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n}")
-    return _run_pass([check_id], max_n, seed)[0]
+    return _run_pass([check_id], index(max_n, 1, name="max_n"), seed)[0]
 
 
 def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
@@ -550,8 +547,7 @@ def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
     pass and return the reports in selection order; each report is the one
     :func:`run_check` gives, apart from ``elapsed_ms``.  Every id is
     validated, and an empty selection refused, before anything runs."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n}")
+    max_n = index(max_n, 1, name="max_n")
     ids = [selection] if isinstance(selection, str) else list(selection)
     if ids == ["all"]:
         ids = list(CHECK_IDS)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fubinipoly
-from fubinipoly import combinat, fubini
+from fubinipoly import cli, combinat, fubini
 from fubinipoly.cli import main
 from fubinipoly.exactpoly import format_value, json_value
 
@@ -53,11 +53,11 @@ def test_compute_lambda_refuses_nu_outside_one_to_n(capsys):
     for nu in ("0", "5", "9", "-1"):
         code, out, err = run_cli(["compute", "lambda", "--n", "4", "--nu", nu], capsys)
         assert (code, out) == (2, ""), nu
-        assert f"error: nu must lie in 1..n: got (n=4, nu={nu})" in err
+        assert f"error: nu must lie in 1..4, got {nu}" in err
     # an invalid n is still reported as such, and the library refuses nu too
     code, _, err = run_cli(["compute", "lambda", "--n", "0", "--nu", "9"], capsys)
-    assert code == 2 and "n must be a positive integer" in err
-    with pytest.raises(ValueError, match=r"nu must lie in 1\.\.n: got \(n=4, nu=9\)"):
+    assert code == 2 and "error: n must be at least 1, got 0" in err
+    with pytest.raises(ValueError, match=r"nu must lie in 1\.\.4, got 9"):
         fubini.lambda_poly(4, 9)
 
 
@@ -305,6 +305,37 @@ def test_table_rejects_bad_family(capsys):
 def test_table_requires_max_n(capsys):
     code, _, _ = run_cli(["table", "sf"], capsys)
     assert code == 2
+
+
+def test_table_refuses_max_n_below_one_before_writing(capsys):
+    for fmt in ("plain", "json", "csv"):
+        assert run_cli(["table", "lambda", "--max-n", "0", "--format", fmt], capsys) \
+            == (2, "", "error: --max-n must be at least 1, got 0\n")
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("family", ["sf", "stirling", "lambda", "bernoulli"])
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"), ("csv", "csv")])
+def test_table_prints_its_golden_bytes(family, fmt, suffix, capsys):
+    code, out, err = run_cli(["table", family, "--max-n", "7", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (_GOLDEN / f"table-{family}-7.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_table_writes_each_row_before_making_the_next(fmt, capsys, monkeypatch):
+    written = []        # the length of the output when each row is made
+
+    def rows(max_n):
+        for n in range(max_n + 1):
+            written.append(len(sys.stdout.getvalue()))
+            yield {"n": n, "value": n}
+
+    monkeypatch.setitem(cli._TABLE_FAMILIES, "bernoulli", rows)
+    assert run_cli(["table", "bernoulli", "--max-n", "3", "--format", fmt], capsys)[0] == 0
+    assert len(written) == 4 and written == sorted(set(written))
 
 
 def test_exit_codes_confined_to_contract(capsys):

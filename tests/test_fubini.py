@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,9 +179,9 @@ def test_fubini_reflection_about_minus_half():
 
 def test_lambda_out_of_range_is_refused():
     for nu in (0, 4, -1):
-        with pytest.raises(ValueError, match=rf"nu must lie in 1\.\.n: got \(n=3, nu={nu}\)"):
+        with pytest.raises(ValueError, match=rf"nu must lie in 1\.\.3, got {nu}"):
             lambda_poly(3, nu)
-    with pytest.raises(ValueError, match="n must be a positive integer"):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         lambda_poly(0, 9)       # n is checked first
 
 
@@ -365,11 +366,63 @@ def test_power_sum_gn_refuses_inexact_points(x):
     (lambda_poly, combinat.sf_table, lambda top: (top, 1.0)),
     (power_sum_poly, combinat.bernoulli_table, lambda top: (float(top),)),
     (power_sum_gn, combinat.sf_table, lambda top: (float(top), 2)),
+    (hfubini_direct, combinat.harmonic_table, lambda top: (float(top),)),
+    (psi_poly, combinat.sf_table, lambda top: (float(top),)),
+    (remainder_R, combinat.sf_table, lambda top: (float(top),)),
 ], ids=["stirling2-n", "stirling2-k", "sf-n", "sf-k", "sf_row", "harmonic", "bernoulli",
         "bernoulli_poly", "fubini_direct", "lambda_poly-n", "lambda_poly-nu",
-        "power_sum_poly", "power_sum_gn"])
+        "power_sum_poly", "power_sum_gn", "hfubini_direct", "psi_poly", "remainder_R"])
 def test_non_int_index_is_refused_before_any_table_grows(fn, table, make_args):
     rows = len(table._rows)
     with pytest.raises(TypeError):
         fn(*make_args(rows + 20))
     assert len(table._rows) == rows
+
+
+# Every public index, as (function, valid arguments, the index's position,
+# its name, its floor, its top or None).  exactpoly.index refuses a float
+# with TypeError and an index out of range with one ValueError wording.
+_GATED_INDICES = {
+    "stirling2-n": (combinat.stirling2, (3, 1), 0, "n", 0, None),
+    "stirling2-k": (combinat.stirling2, (3, 1), 1, "k", 0, 3),
+    "sf-n": (sf, (3, 1), 0, "n", 0, None),
+    "sf-k": (sf, (3, 1), 1, "k", 0, 3),
+    "sf_row": (sf_row, (3,), 0, "n", 0, None),
+    "harmonic": (harmonic, (3,), 0, "n", 1, None),
+    "binomial-n": (combinat.binomial, (5, 2), 0, "n", 0, None),
+    "binomial-k": (combinat.binomial, (5, 2), 1, "k", 0, None),
+    "binomial_rat": (binomial_rat, (Fraction(1, 2), 2), 1, "k", 0, None),
+    "bernoulli": (combinat.bernoulli, (3,), 0, "n", 0, None),
+    "bernoulli_akiyama_tanigawa": (bernoulli_akiyama_tanigawa, (3,), 0, "n", 0, None),
+    "bernoulli_poly": (combinat.bernoulli_poly, (3,), 0, "n", 0, None),
+    "fubini_direct": (fubini_direct, (3,), 0, "n", 1, None),
+    "fubini_rec": (fubini_rec, (3,), 0, "n", 1, None),
+    "hfubini_direct": (hfubini_direct, (3,), 0, "n", 1, None),
+    "hfubini_rec": (hfubini_rec, (3,), 0, "n", 1, None),
+    "psi_poly": (psi_poly, (3,), 0, "n", 1, None),
+    "lambda_poly-n": (lambda_poly, (4, 2), 0, "n", 1, None),
+    "lambda_poly-nu": (lambda_poly, (4, 2), 1, "nu", 1, 4),
+    "remainder_R": (remainder_R, (4,), 0, "n", 2, None),
+    "power_sum_poly": (power_sum_poly, (3,), 0, "n", 0, None),
+    "power_sum_gn": (power_sum_gn, (3, Fraction(1, 2)), 0, "n", 0, None),
+    "monomial": (Polynomial.monomial, (1, 2), 1, "power", 0, None),
+    "run_check": (verify.run_check, ("fs-at-minus-one", 3), 1, "max_n", 1, None),
+    "run_suite": (verify.run_suite, (3, ["fs-at-minus-one"]), 0, "max_n", 1, None),
+}
+
+
+@pytest.mark.parametrize("fn,args,position,name,low,high", list(_GATED_INDICES.values()),
+                         ids=list(_GATED_INDICES))
+def test_every_public_index_goes_through_the_gate(fn, args, position, name, low, high):
+    def call(value):
+        return fn(*args[:position], value, *args[position + 1:])
+
+    call(args[position])
+    with pytest.raises(TypeError):
+        call(float(args[position]))
+    wording = f"{name} must be at least {low}" if high is None else f"{name} must lie in {low}..{high}"
+    with pytest.raises(ValueError, match=re.escape(f"{wording}, got {low - 1}") + "$"):
+        call(low - 1)
+    if high is not None:
+        with pytest.raises(ValueError, match=re.escape(f"{wording}, got {high + 1}") + "$"):
+            call(high + 1)

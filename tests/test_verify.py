@@ -326,10 +326,11 @@ _SERVED_BERNOULLI_POLY = _ServedBernoulliPolys()
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
 # B_6 enters it at n = 6, as the x term of B_7(x): at n = 5 the constant of
 # B_6(x) and the B_6 subtracted from it are the same corrupted value.
-# lambda(6,1) + x is read by three checks: the polynomial expansion, the
-# reflection test (x is not symmetric about -1/2) and the value at -1/2.
-# The same corruption of the recurrence's row is seen by lambda-expansion
-# alone, as an entry that differs from the served one.
+# lambda(6,1) + x is read by three checks: the expansion, the reflection test
+# (x is not symmetric about -1/2) and the value at -1/2.  lambda-expansion
+# reports any served entry that differs from the recurrence as that entry,
+# (nu, served) against (nu, recurrence), and sees the same corruption of the
+# recurrence's row the same way.
 # fh-derivative-form cannot see an SF corruption, by design: both of its
 # sides read the same SF row, and the identity holds coefficient by
 # coefficient for any row, so only its harmonic side is in the matrix.
@@ -338,7 +339,7 @@ def _lambda_6_1_plus_x(row):
 
 
 # Corruptions that stay in the reflection class at -1/2, so only the
-# polynomial expansion can see them: x^2 + x is symmetric (its part B is 0)
+# expansion can see them: x^2 + x is symmetric (its part B is 0)
 # and 2x^3 + 3x^2 + x = (2x+1)(x^2+x) antisymmetric (B = 2A).
 def _lambda_6_2_plus_symmetric(row):
     return (row[0], row[1] + Polynomial([0, 1, 1])) + row[2:]
@@ -360,16 +361,15 @@ def _lambda_6_plus_one_at(nu):
     return corrupt
 
 
-_FHAT_6 = "[0, 1, 93, 990, 3250, 4110, 1764]"
-
-# lambda(6, nu) + 1 adds F_nu to the served row's sum, which lambda-expansion reports.
-_LAMBDA_6_PLUS_ONE_SUMS = {
-    1: "[0, 2, 93, 990, 3250, 4110, 1764]",
-    2: "[0, 2, 95, 990, 3250, 4110, 1764]",
-    3: "[0, 2, 99, 996, 3250, 4110, 1764]",
-    4: "[0, 2, 107, 1026, 3274, 4110, 1764]",
-    5: "[0, 2, 123, 1140, 3490, 4230, 1764]",
-    6: "[0, 2, 155, 1530, 4810, 5910, 2484]",
+# lambda(6, nu) + 1, as lambda-expansion reports it: (nu, served) against
+# (nu, recurrence).
+_LAMBDA_6_PLUS_ONE_ENTRIES = {
+    1: ("(1, [1, 1, 15, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
+    2: ("(2, [1, 5, 35, 60, 30])", "(2, [0, 5, 35, 60, 30])"),
+    3: ("(3, [1, 10, 30, 20])", "(3, [0, 10, 30, 20])"),
+    4: ("(4, [1, 10, 10])", "(4, [0, 10, 10])"),
+    5: ("(5, [1, 5])", "(5, [0, 5])"),
+    6: ("(6, [2])", "(6, [1])"),
 }
 
 
@@ -394,26 +394,26 @@ _LAMBDA_6_PLUS_ONE_SUMS = {
     (_SERVED_BERNOULLI_POLY, 5, lambda p: p + 1, "power-sum-agree", 4,
      "24619/125000", "-381/125000"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
-     "[0, 1, 94, 990, 3250, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+     "(1, [0, 2, 15, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
-     "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+     "(2, [0, 6, 36, 60, 30])", "(2, [0, 5, 35, 60, 30])"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
-     "[0, 1, 94, 993, 3252, 4110, 1764]", "[0, 1, 93, 990, 3250, 4110, 1764]"),
+     "(1, [0, 2, 18, 52, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_SERVED_LAMBDA, 6, _lambda_6_compensating, "lambda-expansion", 6,
      "(1, [0, 2, 17, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_ORACLE_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
      "(1, [0, 1, 15, 50, 60, 24])", "(1, [0, 2, 15, 50, 60, 24])"),
 ] + [
-    (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, _FHAT_6)
-    for nu, lhs in _LAMBDA_6_PLUS_ONE_SUMS.items()
+    (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
+    for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
         "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle"]
-    + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_SUMS])
+    + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_ENTRIES])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
     assert run_check(check_id, 12).passed       # also grows every table the check reads
@@ -474,21 +474,31 @@ def test_an_override_drops_the_rows_other_tables_grow_from_it():
     assert value == "1/42"
 
 
-def test_lambda_expansion_multiplies_out_the_table_when_k_does_not_split():
-    # With SF(5,2) + 1, K_5 = F_5 / x is no longer A(u) (2x+1)^e, so from
-    # n = 7, where K_5 first enters a pair, the check must fall back to the
-    # served row's sum rather than use the product of A parts.
+def test_lambda_expansion_reports_the_served_entry_when_k_does_not_split():
+    # With SF(5,2) + 1, K_5 = F_5 / x is no longer A(u) (2x+1)^e.  The served
+    # entry lambda(n, n-6) = C(n-1, n-7) (x+1) F_5 reads the same row at every
+    # n where K_5 enters a pair, so from n = 7 the entry comparison fails first.
     corrupted = list(combinat.sf_row(5))
     corrupted[2] += 1
-    ns = range(7, 10)
     with combinat.sf_table.override(5, tuple(corrupted)):
         assert verify._k_split(5) is None
-        got = list(CHECKS["lambda-expansion"].cases(ns, random.Random(0)))
-        want = [(n, sum((fubini.lambda_poly(n, v) * fubini.fubini_direct(v)
-                         for v in range(1, n + 1)), Polynomial.zero()),
-                 fubini.hfubini_direct(n)) for n in ns]
-    assert got == want
-    assert all(lhs != rhs for _, lhs, rhs in got)
+        served = fubini.lambda_poly(7, 1)
+        got = next(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0)))
+    oracle = _ORACLE_LAMBDA[7][0]
+    assert served != oracle
+    assert got == (7, (1, served), (1, oracle))
+
+
+def test_lambda_expansion_reports_a_refused_k_split(monkeypatch):
+    # The form of K_v is never assumed: a split that _k_split refuses on clean
+    # data fails the check from n = 7, where K_5 first enters a pair.
+    k_split = verify._k_split
+    monkeypatch.setattr(verify, "_k_split", lambda v: None if v == 5 else k_split(v))
+    report = run_check("lambda-expansion", 12)
+    assert (report.status, report.witness_n, report.lhs, report.rhs) \
+        == ("fail", 7, "(5, false)", "(5, true)")
+    assert list(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0))) \
+        == [(n, (5, False), (5, True)) for n in range(7, 10)]
 
 
 def test_k_splits_as_a_reflection_member():
