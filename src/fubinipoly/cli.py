@@ -24,7 +24,8 @@ import sys
 from typing import List, Optional
 
 from . import combinat, fubini, verify
-from .exactpoly import Polynomial, format_rational, format_value, index, json_value, parse_rational
+from .exactpoly import (_RATIONAL_RE, Polynomial, format_rational, format_value, index, json_value,
+                        parse_rational)
 
 SCHEMA_VERSION = 1
 
@@ -138,8 +139,9 @@ def _cmd_verify(args) -> int:
         for check_id in verify.CHECK_IDS:
             print(check_id)
         return 0
+    max_n = index(args.max_n, 1, name="--max-n")
     selection = [c.strip() for c in args.checks.split(",") if c.strip()]
-    reports = verify.run_suite(args.max_n, selection, seed=args.seed)
+    reports = verify.run_suite(max_n, selection, seed=args.seed)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -185,11 +187,12 @@ def _cmd_table(args) -> int:
 
 def _join_rational_flag_values(argv: List[str]) -> List[str]:
     """Rewrite ["--at", "-1/2"] as ["--at=-1/2"] so negative rational
-    literals survive argparse's option detection."""
+    literals survive argparse's option detection.  Any other token after
+    ``--at`` is left to argparse, which reports a missing value itself."""
     out: List[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--at" and i + 1 < len(argv):
+        if argv[i] == "--at" and i + 1 < len(argv) and _RATIONAL_RE.match(argv[i + 1]):
             out.append(f"--at={argv[i + 1]}")
             i += 2
         else:

@@ -40,12 +40,14 @@ def parse_rational(text: str) -> Fraction:
 def exact(value) -> Rational:
     """The one exactness gate: ``value`` in canonical form, or ``TypeError``.
 
-    An ``int`` (``bool`` included) is returned unchanged, an integral
-    ``Fraction`` collapses to its ``int`` and any other ``Fraction`` is
-    returned unchanged.  Anything else, such as a float or a string, is
-    refused."""
-    if isinstance(value, int):
+    An ``int`` is returned unchanged and any other integer, such as a
+    ``bool``, as a plain ``int``; an integral ``Fraction`` collapses to its
+    ``int`` and any other ``Fraction`` is returned unchanged.  Anything
+    else, such as a float or a string, is refused."""
+    if type(value) is int:
         return value
+    if isinstance(value, int):
+        return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact value required (int or Fraction), got {type(value).__name__}")
@@ -306,22 +308,16 @@ class Polynomial:
     def reflect_about(self, alpha: Rational) -> "Polynomial":
         """The polynomial g with g(x) = f(2*alpha - x).
 
-        A Taylor shift by s = 2*alpha gives h(x) = f(x + s) in O(d^2)
-        in-place steps c[j] += s*c[j+1] (Horner's scheme applied d times; von
-        zur Gathen & Gerhard, ISSAC 1997); then g(x) = h(-x) negates the odd
-        coefficients.  At alpha = -1/2 the shift is the integer -1."""
-        s = exact(2 * alpha)
-        c = list(self._coeffs)
-        d = len(c) - 1
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                c[j] += s * c[j + 1]
-        c[1::2] = [-v for v in c[1::2]]
-        return Polynomial(c)
+        The reflection fixes u = x^2 - 2*alpha*x and sends x to 2*alpha - x,
+        so with (A, B) the :meth:`reflection_parts` of f = A(u) + x*B(u),
+        g = (A + 2*alpha*B)(u) - x*B(u)."""
+        a, b = self.reflection_parts(alpha)
+        return Polynomial.from_reflection_parts(a + b * (2 * alpha), -b, alpha)
 
     def has_nonneg_int_coeffs(self) -> bool:
         """True iff every coefficient is a nonnegative integer (zero qualifies)."""
-        return all(isinstance(c, int) and c >= 0 for c in self._coeffs)
+        c = self._coeffs
+        return _INT_ONLY.issuperset(map(type, c)) and min(c, default=0) >= 0
 
     def reflection_parts(self, alpha: Rational) -> "tuple[Polynomial, Polynomial]":
         """The unique pair (A, B) with f(x) = A(u) + x*B(u), u = x^2 - 2*alpha*x.

@@ -8,6 +8,7 @@ Randomized checks draw from a seeded generator and record the seed.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import random
@@ -472,32 +473,29 @@ PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
 
 
 class _Scan:
-    """One check's cases within a pass: its next case and what it has seen.
-    Time spent pulling and comparing its cases is charged to it."""
+    """One check's cases within a pass, as the stream of their indices.
+    Iterating pulls each case, compares it and yields its index; on a
+    failing case it keeps the case as the witness and stops.  Time spent
+    pulling and comparing its cases is charged to it."""
 
     def __init__(self, check: IdentityCheck, max_n: int, seed: int):
         self.check = check
         self.seed = seed
         self.ns = check.indices(max_n)
-        self._cases = check.cases(self.ns, random.Random(seed))
         self.count = 0
         self.witness: Optional[Case] = None
-        start = time.perf_counter()
-        self.pending: Optional[Case] = next(self._cases, None)
-        self.seconds = time.perf_counter() - start
+        self.seconds = 0.0
 
-    def advance(self) -> None:
-        """Evaluate every case at the pending index and pull the first case
-        past it; on a failing case keep it as the witness and stop."""
+    def __iter__(self) -> Iterator[int]:
         start = time.perf_counter()
-        index = self.pending[0]
-        while self.pending is not None and self.pending[0] == index:
+        for case in self.check.cases(self.ns, random.Random(self.seed)):
             self.count += 1
-            _, lhs, rhs = self.pending
-            if lhs != rhs:
-                self.witness, self.pending = self.pending, None
-            else:
-                self.pending = next(self._cases, None)
+            if case[1] != case[2]:
+                self.witness = case
+                break
+            self.seconds += time.perf_counter() - start
+            yield case[0]
+            start = time.perf_counter()
         self.seconds += time.perf_counter() - start
 
     def report(self) -> IdentityReport:
@@ -512,19 +510,16 @@ class _Scan:
 
 
 def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]:
-    """Run the checks named by ``ids`` as one pass over the index: at the
-    smallest index any check has left, every check with cases there
-    evaluates them all, in selection order, before the pass moves on.  The
-    rows the checks share (:func:`_row`) are built once for the pass and
-    dropped with it."""
+    """Run the checks named by ``ids`` as one pass over the index: their
+    case streams are merged by index, ties in selection order, so every
+    check with cases at an index evaluates them all before the pass moves
+    on.  The rows the checks share (:func:`_row`) are built once for the
+    pass and dropped with it."""
     token = _pass_rows.set({})
     try:
         scans = [_Scan(CHECKS[check_id], max_n, seed) for check_id in ids]
-        while live := [scan for scan in scans if scan.pending is not None]:
-            index = min(scan.pending[0] for scan in live)
-            for scan in live:
-                if scan.pending[0] == index:
-                    scan.advance()
+        for _ in heapq.merge(*scans):
+            pass
     finally:
         _pass_rows.reset(token)
     return [scan.report() for scan in scans]
@@ -538,7 +533,7 @@ def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> Identit
     reports "empty", which does not count as a pass."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id!r}")
-    return _run_pass([check_id], index(max_n, 1, name="max_n"), seed)[0]
+    return run_suite(max_n, [check_id], seed=seed)[0]
 
 
 def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,

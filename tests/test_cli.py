@@ -32,9 +32,10 @@ def test_compute_fubini_coefficients(capsys):
 
 
 def test_compute_hfubini_at_point(capsys):
-    code, out, _ = run_cli(["compute", "hfubini", "--n", "2", "--at", "-1/2"], capsys)
-    assert code == 0
-    assert out.strip() == "1/4"
+    for at in (["--at", "-1/2"], ["--at=-1/2"]):
+        code, out, _ = run_cli(["compute", "hfubini", "--n", "2"] + at, capsys)
+        assert code == 0
+        assert out.strip() == "1/4"
 
 
 def test_compute_lambda(capsys):
@@ -101,6 +102,17 @@ def test_compute_rejects_decimal_literal(capsys):
     code, _, err = run_cli(["compute", "fubini", "--n", "2", "--at", "0.5"], capsys)
     assert code == 2
     assert "rational" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "fubini", "--at", "--n", "2"],
+    ["compute", "fubini", "--n", "2", "--at", "--format", "json"],
+])
+def test_compute_at_without_a_value_is_reported_as_such(args, capsys):
+    # --at is joined only to a rational literal, so a flag after it stays a flag.
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --at: expected one argument\n")
 
 
 def test_compute_rejects_unknown_family(capsys):
@@ -208,6 +220,12 @@ def test_verify_plain_output_is_byte_identical_across_runs(capsys):
     second = run_cli(args, capsys)
     assert first == second
     assert first[0] == 0
+
+
+def test_verify_refuses_max_n_below_one_in_the_flag_s_name(capsys):
+    for checks in ("all", "cor-psi-odd"):
+        assert run_cli(["verify", "--max-n", "0", "--checks", checks], capsys) \
+            == (2, "", "error: --max-n must be at least 1, got 0\n")
 
 
 def test_verify_rejects_csv(capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import (Polynomial, format_rational, format_value, int_times, json_value,
-                                  parse_rational)
+from fubinipoly.exactpoly import (Polynomial, exact, format_rational, format_value, int_times,
+                                  json_value, parse_rational)
 from fubinipoly.fubini import fubini_direct, hfubini_direct, lambda_poly, power_sum_poly, psi_poly
 from fubinipoly.transforms import binomial_transform
 
@@ -75,10 +75,24 @@ def test_int_only_and_mixed_coefficient_lists_are_canonical():
     assert Polynomial([3, -1, 0, 0]).coefficients == (3, -1)
     assert Polynomial((0, 0)).coefficients == ()
     mixed = Polynomial([1, Fraction(6, 3), True, Fraction(0), Fraction(1, 2)])
-    assert mixed.coefficients == (1, 2, True, 0, Fraction(1, 2))
-    assert [type(c) for c in mixed] == [int, int, bool, int, Fraction]
+    assert mixed.coefficients == (1, 2, 1, 0, Fraction(1, 2))
+    assert [type(c) for c in mixed] == [int, int, int, int, Fraction]
     with pytest.raises(TypeError):
         Polynomial([1, 2, 3.0])
+
+
+def test_a_bool_is_a_plain_int():
+    # exact() gives any int subclass as a plain int, so every int fast path
+    # (type(c) is int) holds for a bool coefficient too.
+    assert type(exact(True)) is int and exact(True) == 1
+    assert type(exact(False)) is int and exact(False) == 0
+    f = Polynomial([True, 2])
+    assert f.coefficients == (1, 2) and [type(c) for c in f] == [int, int]
+    assert f.antiderivative() == Polynomial([0, 1, 1])
+    assert f.definite_integral(-1, 0) == 0
+    assert f.definite_integral(0, 1) == 2
+    assert json_value(f) == [1, 2]
+    assert Polynomial([True]).has_nonneg_int_coeffs()
 
 
 def test_int_times_matches_the_fraction_product():
@@ -279,7 +293,7 @@ def test_reflect_about_matches_pointwise_substitution():
 
 def _reflect_by_substitution(f, alpha):
     # sum_i c_i (2*alpha - x)^i with each power built by one more dense
-    # multiplication: the O(d^3) reference for the Taylor-shift reflect_about.
+    # multiplication: the O(d^3) reference for reflect_about.
     mirror = Polynomial([2 * alpha, -1])
     result = Polynomial.zero()
     power = Polynomial.one()

@@ -1,7 +1,7 @@
 """Ring laws of Polynomial, the canonical form of every result, the
 antiderivative and evaluation against their definitions, the
-reflection-parts round trip, and the parse_rational /
-format_rational round trip, by property.
+reflection-parts round trip, reflection against the Taylor shift, and the
+parse_rational / format_rational round trip, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
 """
@@ -112,6 +112,37 @@ def test_reflection_parts_round_trip(f, alpha):
     a, b = f.reflection_parts(alpha)
     assert Polynomial.from_reflection_parts(a, b, alpha) == f
     _assert_canonical(a, b)
+
+
+def _reflect_by_taylor_shift(f, alpha):
+    # A Taylor shift by s = 2 alpha gives h(x) = f(x + s) in O(d^2) in-place
+    # steps c[j] += s c[j+1] (Horner's scheme applied d times; von zur Gathen
+    # & Gerhard, ISSAC 1997); then f(2 alpha - x) = h(-x) negates the odd
+    # coefficients.
+    s = 2 * alpha
+    c = list(f.coefficients)
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += s * c[j + 1]
+    c[1::2] = [-v for v in c[1::2]]
+    return Polynomial(c)
+
+
+# Half-integer axes, where the parts are integral for integral f, and others.
+axes = st.one_of(st.sampled_from([0, 1, -1, Fraction(-1, 2), Fraction(-3, 2), 2,
+                                  Fraction(1, 3), Fraction(5, 7)]), scalars)
+
+
+@PROPERTY
+@given(polys, axes)
+def test_reflect_about_matches_the_taylor_shift(f, alpha):
+    # reflect_about goes through the reflection parts; the Taylor shift is
+    # an independent route to the same polynomial, coefficient types included.
+    g, reference = f.reflect_about(alpha), _reflect_by_taylor_shift(f, alpha)
+    assert g == reference
+    assert [type(c) for c in g] == [type(c) for c in reference]
+    _assert_canonical(g)
 
 
 # Any size of numerator and denominator, so that the literal is not limited

@@ -219,6 +219,31 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
     assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
 
 
+def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
+    # Each check pulls its first case in selection order; then, at the
+    # smallest index left, each check with cases there evaluates them and
+    # pulls its next one.  This order decides which pass rows are built when
+    # (and so PASS_ROWS_PER_KIND).
+    pulls = []
+
+    def logged(check):
+        def cases(ns, rng):
+            for case in check.cases(ns, rng):
+                pulls.append((check.check_id, case[0]))
+                yield case
+        return dataclasses.replace(check, cases=cases)
+
+    for check_id, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, check_id, logged(check))
+    assert all(r.passed for r in run_suite(6, ["thm-main-central", "fs-at-minus-one", "cor-psi-odd"]))
+    assert pulls == [
+        ("thm-main-central", 2), ("fs-at-minus-one", 1), ("cor-psi-odd", 1),
+        ("fs-at-minus-one", 2), ("cor-psi-odd", 3), ("thm-main-central", 4),
+        ("fs-at-minus-one", 3), ("fs-at-minus-one", 4), ("cor-psi-odd", 5),
+        ("thm-main-central", 6), ("fs-at-minus-one", 5), ("fs-at-minus-one", 6),
+    ]
+
+
 # --- fault injection: the suite must notice a single corrupted table entry ----
 
 @pytest.fixture
