@@ -137,24 +137,27 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_from_hfubini(n, _row(hfubini_direct, n))(_MINUS_HALF), Fraction(0)
 
 
+def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> Polynomial:
+    """lambda(n, nu) by the recurrence, from the coefficients ``c`` of
+    lambda(n-1, nu) and ``below`` of lambda(n-1, nu-1), each () for an entry
+    outside row n - 1."""
+    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
+    # coefficient k is k c_k + (k-1) c_(k-1), plus that of lambda(n-1, nu-1),
+    # plus 1 at k = 1 when nu = n-1.
+    out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+    out += [0] * (len(below) - len(out))
+    out[:len(below)] = map(operator.add, out, below)
+    if nu == n - 1:
+        out[1] += 1
+    return Polynomial(out)
+
+
 def _lambda_row(prev: tuple, n: int) -> tuple:
     """Row n of lambda(n, 1..n) by the recurrence from row n - 1: the oracle
     that lambda-expansion holds the served rows to."""
-    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
-    # with c = lambda(n-1, nu), coefficient k is k c_k + (k-1) c_(k-1), plus
-    # that of lambda(n-1, nu-1), plus 1 at k = 1 when nu = n-1.
-    row = []
-    for nu in range(1, n + 1):
-        c = prev[nu - 1].coefficients if nu < n else ()
-        out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
-        if nu >= 2:
-            below = prev[nu - 2].coefficients
-            out += [0] * (len(below) - len(out))
-            out[:len(below)] = map(operator.add, out, below)
-        if nu == n - 1:
-            out[1] += 1
-        row.append(Polynomial(out))
-    return tuple(row)
+    return tuple(_lambda_entry(n, nu, prev[nu - 1].coefficients if nu < n else (),
+                               prev[nu - 2].coefficients if nu >= 2 else ())
+                 for nu in range(1, n + 1))
 
 
 def _served_lambda_row(n: int) -> tuple:
@@ -241,16 +244,41 @@ def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
 
 
 def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
+    # The top two entries of a row of the recurrence read only the top two of
+    # the row before, so they are rolled forward alone from lambda(1, 1) = 1:
+    # lambda(n, n) = lambda(n-1, n-1) and
+    # lambda(n, n-1) = (x^2+x) lambda(n-1, n-1)' + lambda(n-1, n-2) + x.
+    top, sub, m = Polynomial.one(), Polynomial.zero(), 1    # lambda(m, m), lambda(m, m-1)
     for n in ns:
-        yield n, lambda_poly(n, n), Polynomial.one()
+        while m < n:
+            m += 1
+            top, sub = (_lambda_entry(m, m, (), top.coefficients),
+                        _lambda_entry(m, m - 1, top.coefficients, sub.coefficients))
+        yield n, top, Polynomial.one()
         if n >= 2:
-            yield n, lambda_poly(n, n - 1), Polynomial.monomial(n - 1, 1)
+            yield n, sub, Polynomial.monomial(n - 1, 1)
 
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
+    # lambda(n, nu) = C(n-1, nu-1) P_a for nu <= n-2, with P_a = (x+1) F_a and
+    # a = n-1-nu.  A positive integer multiple of a member of the class is a
+    # member: the factor keeps each coefficient a nonnegative integer and
+    # scales both reflection parts, so B = 0, or 2A = B, still holds.  So P_a,
+    # built from SF row a, is split once per a, and a served entry equal to
+    # C(n-1, nu-1) P_a for a proven P_a is a member.  Any other entry, such as
+    # a corrupted one, is split in full.  Only the verdicts on P_a are kept.
+    proven: Dict[int, bool] = {}
     for n in ns:
         for v, lam in enumerate(_row(_served_lambda_row, n)[:n - 2], 1):
-            yield n, (v, lam.in_reflection_class(_MINUS_HALF)), (v, True)
+            a = n - 1 - v
+            f = sf_row(a)
+            p = [c + c_below for c, c_below in zip(f + (0,), (0,) + f)]
+            if a not in proven:
+                proven[a] = Polynomial(p).in_reflection_class(_MINUS_HALF)
+            k = math.comb(n - 1, v - 1)
+            member = ((proven[a] and lam.coefficients == tuple([k * c for c in p]))
+                      or lam.in_reflection_class(_MINUS_HALF))
+            yield n, (v, member), (v, True)
 
 
 _CLOSURE_CASES = 200

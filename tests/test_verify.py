@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import pytest
@@ -313,8 +313,10 @@ class _ServedLambdaRows:
 
 
 class _OracleLambdaRows:
-    """The rows of the recurrence that lambda-expansion rolls forward by
-    ``verify._lambda_row``: ``override`` replaces that function's row n."""
+    """The rows of the recurrence, built entry by entry by
+    ``verify._lambda_entry``: lambda-expansion rolls whole rows forward and
+    lambda-top the top two entries.  ``override`` makes that function serve
+    row n."""
 
     def __getitem__(self, n):
         row = (Polynomial.one(),)
@@ -323,8 +325,9 @@ class _OracleLambdaRows:
         return row
 
     def override(self, n, row):
-        roll = verify._lambda_row
-        return _patched(verify, "_lambda_row", lambda prev, m: row if m == n else roll(prev, m))
+        entry = verify._lambda_entry
+        return _patched(verify, "_lambda_entry",
+                        lambda m, nu, c, below: row[nu - 1] if m == n else entry(m, nu, c, below))
 
 
 class _ServedBernoulliPolys:
@@ -355,7 +358,11 @@ _SERVED_BERNOULLI_POLY = _ServedBernoulliPolys()
 # (x is not symmetric about -1/2) and the value at -1/2.  lambda-expansion
 # reports any served entry that differs from the recurrence as that entry,
 # (nu, served) against (nu, recurrence), and sees the same corruption of the
-# recurrence's row the same way.
+# recurrence's row the same way.  lambda-top rolls only the top two entries
+# of the recurrence forward, so it sees lambda(6,5) + 1 there.
+# SF row a enters lambda-reflection first at n = a + 2, as lambda(a+2, 1) =
+# (x+1) F_a: with row 5 corrupted, P_5 fails its one split, and so does the
+# served entry, built from the same row.
 # fh-derivative-form cannot see an SF corruption, by design: both of its
 # sides read the same SF row, and the identity holds coefficient by
 # coefficient for any row, so only its harmonic side is in the matrix.
@@ -403,6 +410,7 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
     (combinat.sf_table, 5, _bump_third, "gregory-newton", 5,
      "[0, -1/2, 1/2, 0, 0, 1]", "[0, 0, 0, 0, 0, 1]"),
     (combinat.sf_table, 5, _bump_third, "power-sum-agree", 5, "21067599/128", "21043127/128"),
+    (combinat.sf_table, 5, _bump_third, "lambda-reflection", 7, "(1, false)", "(1, true)"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
      "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
@@ -430,14 +438,15 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
      "(1, [0, 2, 17, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_ORACLE_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
      "(1, [0, 1, 15, 50, 60, 24])", "(1, [0, 2, 15, 50, 60, 24])"),
+    (_ORACLE_LAMBDA, 6, _lambda_6_plus_one_at(5), "lambda-top", 6, "[1, 5]", "[0, 5]"),
 ] + [
     (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
     for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
-], ids=["SF", "SF/gregory-newton", "SF/power-sum", "H", "H/derivative-form",
+], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "H", "H/derivative-form",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
-        "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle"]
+        "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle", "lambda/oracle-top"]
     + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_ENTRIES])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
@@ -524,6 +533,63 @@ def test_lambda_expansion_reports_a_refused_k_split(monkeypatch):
         == ("fail", 7, "(5, false)", "(5, true)")
     assert list(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0))) \
         == [(n, (5, False), (5, True)) for n in range(7, 10)]
+
+
+def _lambda_6_2_doubled(row):
+    return (row[0], row[1] * 2) + row[2:]
+
+
+@contextmanager
+def _counted_reflection_tests():
+    calls = []
+    test = Polynomial.in_reflection_class
+
+    def counted(self, alpha):
+        calls.append(self)
+        return test(self, alpha)
+
+    with _patched(Polynomial, "in_reflection_class", counted):
+        yield calls
+
+
+def test_lambda_reflection_splits_each_p_a_once_on_clean_data():
+    # One split of P_a = (x+1) F_a for each a = n-1-nu in 1..38; every served
+    # entry then matches C(n-1, nu-1) P_a and needs no split of its own.
+    assert run_check("lambda-reflection", 40).passed
+    with _counted_reflection_tests() as calls:
+        assert run_check("lambda-reflection", 40).passed
+    assert len(calls) == 38
+
+
+@pytest.mark.parametrize("table,index,corrupt", [
+    (None, None, None),
+    (combinat.sf_table, 5, _bump_third),
+    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x),
+    (_SERVED_LAMBDA, 6, _lambda_6_2_doubled),
+    (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric),
+], ids=["clean", "SF", "lambda-plus-x", "lambda-doubled", "lambda-plus-symmetric"])
+def test_lambda_reflection_verdicts_match_a_full_split(table, index, corrupt):
+    run_check("lambda-reflection", 40)      # grows the SF rows before any override
+    with table.override(index, corrupt(table[index])) if table else nullcontext():
+        cases = list(CHECKS["lambda-reflection"].cases(range(3, 41), random.Random(0)))
+        want = [(n, (v, lam.in_reflection_class(Fraction(-1, 2))), (v, True))
+                for n in range(3, 41) for v, lam in enumerate(_SERVED_LAMBDA[n][:n - 2], 1)]
+    assert cases == want
+
+
+def test_an_in_class_substitute_is_split_and_passes_the_reflection_test():
+    # 2 lambda(6,2) is in the class but misses the scaled comparison with
+    # C(5,1) P_3, so it is split in full: one split more than on clean data.
+    # Only lambda-expansion's comparison with the recurrence sees it.
+    assert run_check("lambda-reflection", 12).passed
+    with _SERVED_LAMBDA.override(6, _lambda_6_2_doubled(_SERVED_LAMBDA[6])):
+        with _counted_reflection_tests() as calls:
+            reflection = run_check("lambda-reflection", 12)
+        expansion = run_check("lambda-expansion", 12)
+    assert reflection.passed
+    assert len(calls) == 10 + 1
+    assert (expansion.status, expansion.witness_n, expansion.lhs, expansion.rhs) \
+        == ("fail", 6, "(2, [0, 10, 70, 120, 60])", "(2, [0, 5, 35, 60, 30])")
 
 
 def test_k_splits_as_a_reflection_member():
