@@ -18,7 +18,6 @@ raised by the library).  Rational values are always printed reduced, as
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import List, Optional
@@ -174,6 +173,8 @@ def _cmd_table(args) -> int:
                              + json.dumps({k: json_value(v) for k, v in row.items()}))
         sys.stdout.write("]}\n")
     elif args.format == "csv":
+        import csv      # only this branch writes CSV; kept off the import of the CLI
+
         writer = csv.writer(sys.stdout)
         for i, row in enumerate(rows):
             if not i:

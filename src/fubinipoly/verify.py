@@ -14,9 +14,8 @@ import operator
 import random
 import time
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
 from .exactpoly import Polynomial, format_value, index
@@ -43,8 +42,7 @@ Case = Tuple[int, object, object]
 CaseGen = Callable[[range, random.Random], Iterator[Case]]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     check_id: str
     description: str
     randomized: bool
@@ -52,8 +50,7 @@ class IdentityCheck:
     cases: CaseGen
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     check_id: str
     n_min: int
     n_max: int
@@ -69,7 +66,7 @@ class IdentityReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # --- rows shared within a pass -----------------------------------------------
@@ -569,13 +566,16 @@ def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
     """Run a selection of checks ("all", ["all"] or a list of ids) as one
     pass and return the reports in selection order; each report is the one
     :func:`run_check` gives, apart from ``elapsed_ms``.  Every id is
-    validated, and an empty selection refused, before anything runs."""
+    validated, and an empty selection or 'all' among ids refused, before
+    anything runs."""
     max_n = index(max_n, 1, name="max_n")
     ids = [selection] if isinstance(selection, str) else list(selection)
     if ids == ["all"]:
         ids = list(CHECK_IDS)
     if not ids:
         raise ValueError("no check selected: name at least one check id or 'all'")
+    if "all" in ids:
+        raise ValueError("'all' cannot be combined with check ids; give 'all' alone or a list of ids")
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check id(s): {', '.join(repr(u) for u in unknown)}")

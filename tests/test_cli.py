@@ -201,6 +201,12 @@ def test_verify_empty_checks_is_usage_error(capsys):
     assert "no check selected" in err
 
 
+def test_verify_refuses_all_combined_with_check_ids(capsys):
+    assert run_cli(["verify", "--max-n", "4", "--checks", "all,fs-at-minus-one"], capsys) \
+        == (2, "", "error: 'all' cannot be combined with check ids; "
+                   "give 'all' alone or a list of ids\n")
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(["verify", "--max-n", "4", "--checks",
                             "fs-at-minus-one,bt-involution", "--format", "json"], capsys)
@@ -372,11 +378,16 @@ def test_exit_codes_confined_to_contract(capsys):
 
 # --- entry point ------------------------------------------------------------
 
-def _run_module(args):
+def _run_python(args):
+    """A fresh interpreter with ``args``, importing this checkout's package."""
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(fubinipoly.__file__)))
     env = {**os.environ, "PYTHONPATH": package_parent}
-    return subprocess.run([sys.executable, "-m", "fubinipoly", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _run_module(args):
+    return _run_python(["-m", "fubinipoly", *args])
 
 
 def test_python_dash_m_entry_point_passes_on_exit_codes():
@@ -386,3 +397,21 @@ def test_python_dash_m_entry_point_passes_on_exit_codes():
     proc = _run_module(["verify", "--max-n", "2"])
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1] == "21/22 checks passed"
+
+
+# Modules that only verify's types, or only the CSV table, used to pull in.
+_OFF_THE_IMPORT_PATH = ("dataclasses", "inspect", "ast", "dis", "csv")
+
+
+def test_importing_the_cli_loads_none_of_the_modules_kept_off_its_path():
+    # Measured against the interpreter's own start, so whatever ``site``
+    # preloads does not count.
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import fubinipoly.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "fubinipoly.cli" in added
+    assert added.isdisjoint(_OFF_THE_IMPORT_PATH), sorted(added & set(_OFF_THE_IMPORT_PATH))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -12,11 +11,13 @@ import pytest
 
 import fubinipoly
 from fubinipoly import combinat, fubini, verify
+from fubinipoly.cli import main
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
     CHECK_IDS,
     CHECKS,
     PASS_ROWS_PER_KIND,
+    IdentityCheck,
     IdentityReport,
     run_check,
     run_suite,
@@ -80,11 +81,39 @@ def test_unknown_check_id_rejected():
         run_suite(8, ["fs-at-minus-one", "no-such-id"])
 
 
+def test_all_combined_with_check_ids_is_refused_before_any_check_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_run_pass", lambda *args: pytest.fail("a check ran"))
+    for selection in (["all", "fs-at-minus-one"], ["fs-at-minus-one", "all"]):
+        with pytest.raises(ValueError, match="^'all' cannot be combined with check ids"):
+            run_suite(8, selection)
+
+
 def test_bad_max_n_rejected():
     with pytest.raises(ValueError):
         run_check("fs-at-minus-one", 0)
     with pytest.raises(ValueError):
         run_suite(-3, "all")
+
+
+def test_reports_and_checks_are_immutable_named_tuples():
+    report = run_check("bt-involution", 4)
+    check = CHECKS["bt-involution"]
+    for record, field in ((report, "status"), (check, "cases")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert IdentityCheck._fields == ("check_id", "description", "randomized", "indices", "cases")
+    assert IdentityReport._fields == ("check_id", "n_min", "n_max", "status", "witness_n",
+                                      "lhs", "rhs", "seed", "elapsed_ms")
+    assert report == IdentityReport(**report.to_dict())
+    changed = check._replace(randomized=False)
+    assert not changed.randomized and changed._replace(randomized=True) == check
+
+
+def test_report_dict_keys_are_the_fields_in_order_and_those_of_a_json_report(capsys):
+    assert main(["verify", "--max-n", "4", "--checks", "bt-involution", "--format", "json"]) == 0
+    json_report, = json.loads(capsys.readouterr().out)["reports"]
+    assert list(run_check("bt-involution", 4).to_dict()) == list(IdentityReport._fields) \
+        == list(json_report)
 
 
 def test_suite_order_matches_selection():
@@ -212,7 +241,7 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
     for name in built:
         monkeypatch.setattr(verify, name, counted(name))
     for check_id, check in CHECKS.items():
-        monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, cases=watched(check.cases)))
+        monkeypatch.setitem(CHECKS, check_id, check._replace(cases=watched(check.cases)))
     assert all(r.passed for r in run_suite(60, "all"))
     assert {name: sorted(ns) for name, ns in built.items()} == {name: list(range(1, 61))
                                                                 for name in built}
@@ -231,7 +260,7 @@ def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
             for case in check.cases(ns, rng):
                 pulls.append((check.check_id, case[0]))
                 yield case
-        return dataclasses.replace(check, cases=cases)
+        return check._replace(cases=cases)
 
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, logged(check))
@@ -459,6 +488,54 @@ def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, cor
     assert report.witness_n == witness
     assert (report.lhs, report.rhs) == (lhs, rhs)
     assert (in_pass.status, in_pass.witness_n, in_pass.lhs, in_pass.rhs) == ("fail", witness, lhs, rhs)
+    assert run_check(check_id, 12).passed
+
+
+# The three randomized checks read no table; each is shown to fail under a
+# fault in the kernel it exercises.  The transform keeps its length: one that
+# dropped its last entry would make bt-harmonic index past the end.
+_POLYNOMIAL_MUL = Polynomial.__mul__
+_BINOMIAL_TRANSFORM = verify.binomial_transform
+
+
+def _mul_skipping_a_cross_term(f, g):
+    """Polynomial.__mul__ without the term f_1 g_0 of x."""
+    if not isinstance(g, Polynomial):
+        return _POLYNOMIAL_MUL(f, g)
+    out = [0] * (len(f.coefficients) + len(g.coefficients) - 1)
+    for i, a in enumerate(f.coefficients):
+        for j, b in enumerate(g.coefficients):
+            if (i, j) != (1, 0):
+                out[i + j] += a * b
+    return Polynomial(out)
+
+
+def _derivative_dropping_its_top_term(f):
+    return Polynomial([i * c for i, c in enumerate(f.coefficients)][1:-1])
+
+
+# The first random sequence of bt-involution at seed 0, less its last entry.
+_BT_CASE_1_HEAD = ("(95/14, -89/9, 31/16, 2/5, 23/12, 50/7, 6, -27/5, 47/2, 59/9, 37/20, -31/5, "
+                   "-74/3, 76/11, 7/6, -37/6, 12/11, 57/7, 21/8, 14/17, -33/2, 41, -76/13, 82")
+
+
+@pytest.mark.parametrize("owner,name,mutant,check_id,witness,lhs,rhs", [
+    (Polynomial, "__mul__", _mul_skipping_a_cross_term, "semiring-closure", 8,
+     "(product, false)", "(product, true)"),
+    (verify, "binomial_transform", lambda seq: _BINOMIAL_TRANSFORM(seq)[:-1] + (0,),
+     "bt-involution", 1, _BT_CASE_1_HEAD + ", 0)", _BT_CASE_1_HEAD + ", 57/16)"),
+    (Polynomial, "derivative", _derivative_dropping_its_top_term, "euler-hadamard", 1,
+     "[-4, 1271/16, -33/8, -44/17, 188/3, -2323/64, -14]",
+     "[-4, 1271/16, -33/8, -44/17, 256/3, -23/4, -28]"),
+], ids=["mul-skips-a-cross-term", "transform-zeroes-its-last-entry", "derivative-drops-its-top-term"])
+def test_one_kernel_mutation_fails_its_randomized_check(owner, name, mutant, check_id,
+                                                       witness, lhs, rhs):
+    assert run_check(check_id, 12).passed
+    with _patched(owner, name, mutant):
+        report = run_check(check_id, 12)
+        in_pass = run_suite(12, "all")[CHECK_IDS.index(check_id)]
+    assert (report.status, report.witness_n, report.lhs, report.rhs) == ("fail", witness, lhs, rhs)
+    assert in_pass._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
     assert run_check(check_id, 12).passed
 
 
