@@ -68,16 +68,19 @@ class MemoTable:
                     del table._rows[length:]
 
 
-def _stirling2_row(prev: Sequence, n: int) -> tuple:
+def _stirling2_row(prev: tuple, n: int) -> tuple:
     # S2(n,k) = k*S2(n-1,k) + S2(n-1,k-1)
-    return tuple((k * prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0)
-                 for k in range(n + 1))
+    return tuple([k * c + c_below for k, (c, c_below) in enumerate(zip(prev + (0,), (0,) + prev))])
 
 
-def _sf_row(prev: Sequence, n: int) -> tuple:
+def _sf_row(prev: tuple, n: int) -> tuple:
     # SF(n,k) = k*(SF(n-1,k) + SF(n-1,k-1))
-    return tuple(k * ((prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0))
-                 for k in range(n + 1))
+    return tuple([k * (c + c_below) for k, (c, c_below) in enumerate(zip(prev + (0,), (0,) + prev))])
+
+
+def _x_plus_one_times(row: tuple, k: int = 1) -> list:
+    """The coefficients of k (x+1) f, for ``row`` those of f, constant term first."""
+    return [k * (c + c_below) for c, c_below in zip(row + (0,), (0,) + row)]
 
 
 def worpitzky_sum(terms: Sequence[Rational]) -> Fraction:

@@ -29,12 +29,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational literal (use p/q or an integer): {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def exact(value) -> Rational:
@@ -204,8 +202,7 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        out[:len(b)] = map(operator.add, a, b)
         return Polynomial(out)
 
     __radd__ = __add__

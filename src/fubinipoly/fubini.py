@@ -8,8 +8,8 @@ Two notations used throughout docs and check descriptions:
   variant.
 
 Each family has a direct constructor (straight from the coefficient
-definition) and a recurrence constructor; the pair is the library's core
-self-validation mechanism and both are public API.  The connection
+definition) and a recurrence constructor, both public API; the tests hold
+the two to each other, and no ``verify`` check does yet.  The connection
 polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 ``Fhat_n = sum_nu lambda(n,nu) * F_nu``.  :func:`lambda_poly` serves them
 from their closed form over the SF triangle, so this module keeps no memo
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinat import bernoulli, bernoulli_poly, harmonic, sf_row
+from .combinat import _x_plus_one_times, bernoulli, bernoulli_poly, harmonic, sf_row
 from .exactpoly import Polynomial, Rational, exact, index, int_times
 
 _X = Polynomial.x()
@@ -76,9 +76,7 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
         return Polynomial.one()
     if nu == n - 1:
         return Polynomial.monomial(n - 1, 1)
-    f = sf_row(n - 1 - nu)
-    k = math.comb(n - 1, nu - 1)
-    return Polynomial([k * (c + c_below) for c, c_below in zip(f + (0,), (0,) + f)])
+    return Polynomial(_x_plus_one_times(sf_row(n - 1 - nu), math.comb(n - 1, nu - 1)))
 
 
 def psi_poly(n: int) -> Polynomial:

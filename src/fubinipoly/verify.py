@@ -9,6 +9,7 @@ Randomized checks draw from a seeded generator and record the seed.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import random
@@ -17,7 +18,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .combinat import bernoulli, harmonic, sf_row, worpitzky_sum
+from .combinat import _x_plus_one_times, bernoulli, harmonic, sf_row, worpitzky_sum
 from .exactpoly import Polynomial, format_value, index
 from .fubini import (
     fubini_direct,
@@ -269,11 +270,10 @@ def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
         for v, lam in enumerate(_row(_served_lambda_row, n)[:n - 2], 1):
             a = n - 1 - v
             f = sf_row(a)
-            p = [c + c_below for c, c_below in zip(f + (0,), (0,) + f)]
             if a not in proven:
-                proven[a] = Polynomial(p).in_reflection_class(_MINUS_HALF)
+                proven[a] = Polynomial(_x_plus_one_times(f)).in_reflection_class(_MINUS_HALF)
             k = math.comb(n - 1, v - 1)
-            member = ((proven[a] and lam.coefficients == tuple([k * c for c in p]))
+            member = ((proven[a] and list(lam.coefficients) == _x_plus_one_times(f, k))
                       or lam.in_reflection_class(_MINUS_HALF))
             yield n, (v, member), (v, True)
 
@@ -411,20 +411,18 @@ def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _ordered_partition_count(n: int) -> int:
     """Count ordered set partitions of an n-set by exhaustive enumeration:
-    recurse over every nonempty first block (as a bitmask), visiting each
-    ordered partition exactly once.  No memoization, no closed form."""
+    each set partition as a restricted growth string, then each order of its
+    blocks by ``itertools.permutations``.  No memoization, no closed form."""
 
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        total = 0
-        sub = mask
-        while sub:
-            total += count(mask & ~sub)
-            sub = (sub - 1) & mask
-        return total
+    def set_partitions(i: int, blocks: tuple) -> Iterator[tuple]:
+        # element i joins one of the blocks opened so far, or opens the next one
+        if i == n:
+            yield blocks
+            return
+        for j, block in enumerate(blocks + ((),)):
+            yield from set_partitions(i + 1, blocks[:j] + (block + (i,),) + blocks[j + 1:])
 
-    return count((1 << n) - 1)
+    return sum(1 for blocks in set_partitions(0, ()) for _ in itertools.permutations(blocks))
 
 
 def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -500,8 +498,14 @@ PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
 class _Scan:
     """One check's cases within a pass, as the stream of their indices.
     Iterating pulls each case, compares it and yields its index; on a
-    failing case it keeps the case as the witness and stops.  Time spent
-    pulling and comparing its cases is charged to it."""
+    failing case it keeps the case as the witness and stops.  A case that
+    raises an ``Exception`` fails the check the same way, so the other
+    checks of the pass still report: lhs is the exception's type and
+    message, and the witness is the first index of the range after the
+    last one that yielded a case (the range's first index if none did; the
+    last index if none is left).  For a check with one case per index that
+    is the index whose case raised.  Time spent pulling and comparing its
+    cases is charged to it."""
 
     def __init__(self, check: IdentityCheck, max_n: int, seed: int):
         self.check = check
@@ -513,14 +517,20 @@ class _Scan:
 
     def __iter__(self) -> Iterator[int]:
         start = time.perf_counter()
-        for case in self.check.cases(self.ns, random.Random(self.seed)):
-            self.count += 1
-            if case[1] != case[2]:
-                self.witness = case
-                break
-            self.seconds += time.perf_counter() - start
-            yield case[0]
-            start = time.perf_counter()
+        last = None
+        try:
+            for case in self.check.cases(self.ns, random.Random(self.seed)):
+                self.count += 1
+                if case[1] != case[2]:
+                    self.witness = case
+                    break
+                last = case[0]
+                self.seconds += time.perf_counter() - start
+                yield last
+                start = time.perf_counter()
+        except Exception as exc:
+            pulled = next((n for n in self.ns if last is None or n > last), last)
+            self.witness = (pulled, f"{type(exc).__name__}: {exc}", "no exception")
         self.seconds += time.perf_counter() - start
 
     def report(self) -> IdentityReport:
@@ -566,8 +576,8 @@ def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
     """Run a selection of checks ("all", ["all"] or a list of ids) as one
     pass and return the reports in selection order; each report is the one
     :func:`run_check` gives, apart from ``elapsed_ms``.  Every id is
-    validated, and an empty selection or 'all' among ids refused, before
-    anything runs."""
+    validated, and an empty selection, 'all' among ids or an id given twice
+    refused, before anything runs."""
     max_n = index(max_n, 1, name="max_n")
     ids = [selection] if isinstance(selection, str) else list(selection)
     if ids == ["all"]:
@@ -576,6 +586,9 @@ def run_suite(max_n: int, selection: Union[str, Sequence[str]] = "all", *,
         raise ValueError("no check selected: name at least one check id or 'all'")
     if "all" in ids:
         raise ValueError("'all' cannot be combined with check ids; give 'all' alone or a list of ids")
+    repeated = dict.fromkeys(i for i in ids if ids.count(i) > 1)
+    if repeated:
+        raise ValueError(f"check id(s) given more than once: {', '.join(repr(r) for r in repeated)}")
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check id(s): {', '.join(repr(u) for u in unknown)}")

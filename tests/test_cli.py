@@ -207,6 +207,11 @@ def test_verify_refuses_all_combined_with_check_ids(capsys):
                    "give 'all' alone or a list of ids\n")
 
 
+def test_verify_refuses_a_repeated_check_id(capsys):
+    assert run_cli(["verify", "--max-n", "5", "--checks", "fs-at-minus-one,fs-at-minus-one"], capsys) \
+        == (2, "", "error: check id(s) given more than once: 'fs-at-minus-one'\n")
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(["verify", "--max-n", "4", "--checks",
                             "fs-at-minus-one,bt-involution", "--format", "json"], capsys)

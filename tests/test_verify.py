@@ -88,6 +88,14 @@ def test_all_combined_with_check_ids_is_refused_before_any_check_runs(monkeypatc
             run_suite(8, selection)
 
 
+def test_a_repeated_check_id_is_refused_before_any_check_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_run_pass", lambda *args: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=r"^check id\(s\) given more than once: 'fs-at-minus-one'$"):
+        run_suite(5, ["fs-at-minus-one", "fs-at-minus-one"])
+    with pytest.raises(ValueError, match=r"more than once: 'lambda-top', 'fs-at-minus-one'$"):
+        run_suite(5, ["lambda-top", "fs-at-minus-one", "lambda-top", "fs-at-minus-one", "fs-at-minus-one"])
+
+
 def test_bad_max_n_rejected():
     with pytest.raises(ValueError):
         run_check("fs-at-minus-one", 0)
@@ -399,6 +407,12 @@ def _lambda_6_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
 
+# lambda(6,2) + x^5 has degree 5, not 6 - 2: only lambda-degree-P reads the
+# degree of a served entry.
+def _lambda_6_2_plus_x5(row):
+    return (row[0], row[1] + Polynomial.monomial(1, 5)) + row[2:]
+
+
 # Corruptions that stay in the reflection class at -1/2, so only the
 # expansion can see them: x^2 + x is symmetric (its part B is 0)
 # and 2x^3 + 3x^2 + x = (2x+1)(x^2+x) antisymmetric (B = 2A).
@@ -459,6 +473,7 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
      "(1, [0, 2, 15, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
+    (_SERVED_LAMBDA, 6, _lambda_6_2_plus_x5, "lambda-degree-P", 6, "(2, 5, true)", "(2, 4, true)"),
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
      "(2, [0, 6, 36, 60, 30])", "(2, [0, 5, 35, 60, 30])"),
     (_SERVED_LAMBDA, 6, _lambda_6_1_plus_antisymmetric, "lambda-expansion", 6,
@@ -474,7 +489,7 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "H", "H/derivative-form",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
-        "lambda", "lambda/reflection", "lambda/remainder", "lambda/symmetric-entry",
+        "lambda", "lambda/reflection", "lambda/remainder", "lambda/degree-P", "lambda/symmetric-entry",
         "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle", "lambda/oracle-top"]
     + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_ENTRIES])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
@@ -537,6 +552,77 @@ def test_one_kernel_mutation_fails_its_randomized_check(owner, name, mutant, che
     assert (report.status, report.witness_n, report.lhs, report.rhs) == ("fail", witness, lhs, rhs)
     assert in_pass._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
     assert run_check(check_id, 12).passed
+
+
+# The sweep: one corrupted entry at a time, each of which must fail at least
+# one check of a full pass at bound 6.  It covers every entry of SF rows
+# 1..6 (+1), every H_1..H_6 (+1 and +1/7) and every B_0..B_6 (+1/3).  Two
+# kinds of entry escape every check and are left out: the S2 rows, which no
+# check reads (they wait for an sf-stirling check), and SF row 0, which only
+# seeds row 1.
+def _swept_corruptions():
+    for n in range(1, 7):
+        for k in range(n + 1):
+            yield pytest.param(combinat.sf_table, n, lambda row, k=k: row[:k] + (row[k] + 1,) + row[k + 1:],
+                               id=f"SF({n},{k})+1")
+    for n in range(1, 7):
+        for delta in (1, Fraction(1, 7)):
+            yield pytest.param(combinat.harmonic_table, n, lambda h, delta=delta: h + delta,
+                               id=f"H_{n}+{delta}")
+    for n in range(7):
+        yield pytest.param(combinat.bernoulli_table, n, lambda b: b + Fraction(1, 3), id=f"B_{n}+1/3")
+
+
+@pytest.mark.parametrize("table,index,corrupt", _swept_corruptions())
+def test_every_sf_h_and_b_entry_up_to_6_is_caught_by_some_check(table, index, corrupt):
+    run_suite(6, "all")                         # grows every table a check reads
+    with table.override(index, corrupt(table[index])):
+        failed = [r.check_id for r in run_suite(6, "all") if r.status == "fail"]
+    assert failed
+
+
+# A case that raises fails its own check, and the other checks of the pass
+# still report.  The witness is the index after the last one that yielded a
+# case: for a check with one case per index, the index whose case raised.
+def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
+    # A transform that drops its last entry makes bt-harmonic read past the
+    # end at n = 12; bt-involution fails on the shorter round trip.
+    with _patched(verify, "binomial_transform", lambda seq: _BINOMIAL_TRANSFORM(seq)[:-1]):
+        code = main(["verify", "--max-n", "12"])
+        report = run_check("bt-harmonic", 12)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == len(CHECK_IDS) + 1 and lines[-1] == "20/22 checks passed"
+    assert ("fail bt-harmonic  n=1..12  witness n=12: "
+            "lhs=IndexError: tuple index out of range rhs=no exception") in lines
+    assert (report.status, report.witness_n, report.lhs, report.rhs) \
+        == ("fail", 12, "IndexError: tuple index out of range", "no exception")
+
+
+def test_a_value_error_inside_a_check_is_its_failure_not_a_usage_error(capsys):
+    psi = verify.psi_from_hfubini
+
+    def refusing(n, fhat):
+        if n == 7:
+            raise ValueError("psi refused")
+        return psi(n, fhat)
+
+    with _patched(verify, "psi_from_hfubini", refusing):
+        code = main(["verify", "--max-n", "12"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[-1] == "21/22 checks passed"
+    assert "fail cor-psi-odd  n=1..12  witness n=7: lhs=ValueError: psi refused rhs=no exception" in lines
+
+
+def test_an_interrupt_inside_a_check_still_ends_the_pass():
+    def interrupted(n, fhat):
+        raise KeyboardInterrupt
+
+    with _patched(verify, "psi_from_hfubini", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(4, "all")
 
 
 # The matrix above warms every table before it corrupts one.  A fresh
