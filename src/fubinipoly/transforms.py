@@ -82,20 +82,19 @@ def hfubini_via_derivatives(n: int) -> Polynomial:
     Provided both as public API and as the third independent route to
     Fhat_n (next to the direct sum and the recurrence).
 
-    The sum is taken in integers over the common denominator D = lcm(1..n).
-    With c_m = SF(n, m), the coefficient of x^j in F_n^(v)/v! is the integer
-    c_(j+v) C(j+v, v).  It is derived from the coefficient of x^(j+1) in
-    F_n^(v-1)/(v-1)!, c_(j+v) C(j+v, v-1), by multiplying by j+1 and
-    dividing by v; the division is exact because the quotient is that
-    integer.  Term v is scaled by the integer D/v and added shifted by v,
-    and each coefficient becomes one Fraction over D at the end.
+    With c_m = SF(n, m), the coefficient of x^j in F_n^(v)/v! is
+    c_(j+v) C(j+v, v), so coefficient m of the sum is read off as
+    c_m sum_{v=1..m} (-1)^(v+1) C(m, v) / v, with no harmonic number read:
+    row m of Pascal's triangle dotted with the weights (-1)^(v+1) D / v over
+    D = lcm(1..n), then one exact division by D (a Fraction on a remainder).
     """
-    scaled = list(fubini_direct(n).coefficients)   # coefficients of F_n^(v)/v!
-    den = math.lcm(*range(1, n + 1))
-    acc = [0] * (n + 1)
-    for v in range(1, n + 1):
-        scaled = [(j + 1) * scaled[j + 1] // v for j in range(len(scaled) - 1)]
-        weight = den // v if v % 2 else -(den // v)
-        for j, c in enumerate(scaled):
-            acc[j + v] += weight * c
-    return Polynomial([Fraction(a, den) for a in acc])
+    coeffs = fubini_direct(n).coefficients
+    den = math.lcm(*range(1, len(coeffs)))
+    weights = [0] + [den // v if v % 2 else -(den // v) for v in range(1, len(coeffs))]
+    binom, out = [1], [0]
+    for c in coeffs[1:]:
+        binom = [1, *map(operator.add, binom, binom[1:]), 1]
+        total = c * sum(map(operator.mul, binom, weights))
+        q, r = divmod(total, den)
+        out.append(Fraction(total, den) if r else q)
+    return Polynomial(out)

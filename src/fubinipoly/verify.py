@@ -38,7 +38,9 @@ _ONE_PLUS_4U = Polynomial([1, 4])       # (2x+1)^2 as a polynomial in u = x^2 + 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
 # checks); lhs/rhs are exact comparables.  A generator yields cases for the
 # indices of its check's declared range in ascending order, so the first
-# failing case is the one with the smallest index.
+# failing case is the one with the smallest index.  A generator with several
+# cases at one index computes all of them before it yields the first, so that
+# _Scan can name the index whose case raised.
 Case = Tuple[int, object, object]
 CaseGen = Callable[[range, random.Random], Iterator[Case]]
 
@@ -237,8 +239,8 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        for v, lam in enumerate(_row(_served_lambda_row, n), 1):
-            yield n, (v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True)
+        yield from [(n, (v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True))
+                    for v, lam in enumerate(_row(_served_lambda_row, n), 1)]
 
 
 def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -252,9 +254,10 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
             m += 1
             top, sub = (_lambda_entry(m, m, (), top.coefficients),
                         _lambda_entry(m, m - 1, top.coefficients, sub.coefficients))
-        yield n, top, Polynomial.one()
+        cases = [(n, top, Polynomial.one())]
         if n >= 2:
-            yield n, sub, Polynomial.monomial(n - 1, 1)
+            cases.append((n, sub, Polynomial.monomial(n - 1, 1)))
+        yield from cases
 
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -267,6 +270,7 @@ def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
     # a corrupted one, is split in full.  Only the verdicts on P_a are kept.
     proven: Dict[int, bool] = {}
     for n in ns:
+        cases = []
         for v, lam in enumerate(_row(_served_lambda_row, n)[:n - 2], 1):
             a = n - 1 - v
             f = sf_row(a)
@@ -275,7 +279,8 @@ def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
             k = math.comb(n - 1, v - 1)
             member = ((proven[a] and list(lam.coefficients) == _x_plus_one_times(f, k))
                       or lam.in_reflection_class(_MINUS_HALF))
-            yield n, (v, member), (v, True)
+            cases.append((n, (v, member), (v, True)))
+        yield from cases
 
 
 _CLOSURE_CASES = 200
@@ -301,13 +306,16 @@ def _cases_semiring_closure(ns: range, rng: random.Random) -> Iterator[Case]:
         alpha = Fraction(-m, 2)
         f = _random_reflection_member(rng, m)
         g = _random_reflection_member(rng, m)
-        yield case, ("product", (f * g).in_reflection_class(alpha)), ("product", True)
+        cases = [(case, ("product", (f * g).in_reflection_class(alpha)), ("product", True))]
         if (f.degree is not None and g.degree is not None
                 and (f.degree - g.degree) % 2 == 0):
-            yield case, ("sum", (f + g).in_reflection_class(alpha)), ("sum", True)
-        yield case, ("derivative", f.derivative().in_reflection_class(alpha)), ("derivative", True)
+            cases.append((case, ("sum", (f + g).in_reflection_class(alpha)), ("sum", True)))
+        cases.append((case, ("derivative", f.derivative().in_reflection_class(alpha)),
+                      ("derivative", True)))
         if f.degree is not None and f.degree % 2 == 1:
-            yield case, ("odd degree value at axis", f(alpha)), ("odd degree value at axis", Fraction(0))
+            cases.append((case, ("odd degree value at axis", f(alpha)),
+                          ("odd degree value at axis", Fraction(0))))
+        yield from cases
 
 
 # lambda(n, nu) for n = 1..4, nu = 1..n, coefficients constant term first.
@@ -363,9 +371,8 @@ def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         poly = power_sum_poly(n)
-        for _ in range(20):
-            x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-            yield n, poly(x), power_sum_gn(n, x)
+        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
+        yield from [(n, poly(x), power_sum_gn(n, x)) for x in xs]
 
 
 _BT_CASES = 100
@@ -503,9 +510,12 @@ class _Scan:
     checks of the pass still report: lhs is the exception's type and
     message, and the witness is the first index of the range after the
     last one that yielded a case (the range's first index if none did; the
-    last index if none is left).  For a check with one case per index that
-    is the index whose case raised.  Time spent pulling and comparing its
-    cases is charged to it."""
+    last index if none is left).  Every generator computes all the cases
+    of an index before it yields the first, so that is the index whose
+    case raised.  A consequence: where one case of an index mismatches and
+    a later case of the same index raises, the report shows the exception,
+    at the same witness.  Time spent pulling and comparing its cases is
+    charged to it."""
 
     def __init__(self, check: IdentityCheck, max_n: int, seed: int):
         self.check = check

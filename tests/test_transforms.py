@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fubinipoly import combinat
 from fubinipoly.combinat import harmonic
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import fubini_direct, hfubini_direct
@@ -163,6 +164,40 @@ def test_hfubini_via_derivatives_matches_fraction_step_oracle():
         assert got == want, n
         # same canonical form: integral coefficients stored as int
         assert [type(c) for c in got] == [type(c) for c in want], n
+
+
+def _hfubini_via_derivatives_by_chain(n):
+    # The reference for coefficient extraction: the whole derivative chain
+    # of F_n in integers.  Each row of coefficients of F_n^(v)/v! comes from
+    # the last by (j+1) c / v, exact because the quotient is the integer
+    # c_(j+v) C(j+v, v); term v is scaled by D/v over D = lcm(1..n) and
+    # added shifted by v.
+    scaled = list(fubini_direct(n).coefficients)
+    den = math.lcm(*range(1, n + 1))
+    acc = [0] * (n + 1)
+    for v in range(1, n + 1):
+        scaled = [(j + 1) * scaled[j + 1] // v for j in range(len(scaled) - 1)]
+        weight = den // v if v % 2 else -(den // v)
+        for j, c in enumerate(scaled):
+            acc[j + v] += weight * c
+    return Polynomial([Fraction(a, den) for a in acc])
+
+
+def test_hfubini_via_derivatives_matches_the_derivative_chain_in_value_and_type():
+    for n in range(1, 81):
+        got = hfubini_via_derivatives(n)
+        want = _hfubini_via_derivatives_by_chain(n)
+        assert got == want, n
+        assert [type(c) for c in got] == [type(c) for c in want], n
+
+
+def test_hfubini_via_derivatives_reads_no_harmonic_number():
+    clean = {n: hfubini_via_derivatives(n) for n in range(1, 9)}
+    direct_4 = hfubini_direct(4)
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
+        assert hfubini_direct(4) != direct_4
+        for n, poly in clean.items():
+            assert hfubini_via_derivatives(n) == poly, n
 
 
 def test_hfubini_via_derivatives_rejects_zero():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import fubinipoly
-from fubinipoly import combinat, fubini, verify
+from fubinipoly import combinat, fubini, transforms, verify
 from fubinipoly.cli import main
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
@@ -380,14 +380,30 @@ class _ServedBernoulliPolys:
         return _patched(fubini, "bernoulli_poly", lambda m: poly if m == n else served(m))
 
 
+class _DerivativeSideFubini:
+    """F_n as hfubini_via_derivatives reads it, through
+    ``transforms.fubini_direct``: ``override`` corrupts F_n for a block on
+    the derivative side of fh-derivative-form alone, by patching that name;
+    the direct side still reads the SF table."""
+
+    def __getitem__(self, n):
+        return transforms.fubini_direct(n)
+
+    def override(self, n, poly):
+        served = transforms.fubini_direct
+        return _patched(transforms, "fubini_direct", lambda m: poly if m == n else served(m))
+
+
 _SERVED_LAMBDA = _ServedLambdaRows()
 _ORACLE_LAMBDA = _OracleLambdaRows()
 _SERVED_BERNOULLI_POLY = _ServedBernoulliPolys()
+_DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 
 
-# One corrupted entry per memo table, and per source of lambda rows; each row
-# is (table, index, corruption, a check that reads the entry, the smallest
-# index that check can see it at, and the two sides it then reports).
+# One corrupted entry per memo table, per source of lambda rows, and of F_n
+# as the derivative route reads it; each row is (table, index, corruption, a
+# check that reads the entry, the smallest index that check can see it at,
+# and the two sides it then reports).
 # B_m(x) enters power-sum-agree at n = m - 1; H_v enters Fhat_n for n >= v.
 # B_6 enters it at n = 6, as the x term of B_7(x): at n = 5 the constant of
 # B_6(x) and the B_6 subtracted from it are the same corrupted value.
@@ -402,7 +418,9 @@ _SERVED_BERNOULLI_POLY = _ServedBernoulliPolys()
 # served entry, built from the same row.
 # fh-derivative-form cannot see an SF corruption, by design: both of its
 # sides read the same SF row, and the identity holds coefficient by
-# coefficient for any row, so only its harmonic side is in the matrix.
+# coefficient for any row.  So the matrix holds its harmonic side, and F_5
+# corrupted on its derivative side alone: 151 x^3 there gives 151 H_3 =
+# 1661/6, which the derivative route forms as a Fraction.
 def _lambda_6_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
@@ -457,6 +475,8 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
      "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
+    (_DERIVATIVE_SIDE_F, 5, lambda f: f + Polynomial.monomial(1, 3), "fh-derivative-form", 5,
+     "[0, 1, 45, 1661/6, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
     # H_4 + 1/7 has denominator 84, which divides no SF(n, 4), so the routes
     # that divide SF(n, v) by the denominator of H_v take the Fraction product.
     (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "fh-at-minus-one", 4, "52/7", "4"),
@@ -487,6 +507,7 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
     (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
     for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "H", "H/derivative-form",
+        "F/derivative-side",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/degree-P", "lambda/symmetric-entry",
@@ -583,7 +604,7 @@ def test_every_sf_h_and_b_entry_up_to_6_is_caught_by_some_check(table, index, co
 
 # A case that raises fails its own check, and the other checks of the pass
 # still report.  The witness is the index after the last one that yielded a
-# case: for a check with one case per index, the index whose case raised.
+# case, which is the index whose case raised.
 def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
     # A transform that drops its last entry makes bt-harmonic read past the
     # end at n = 12; bt-involution fails on the shorter round trip.
@@ -597,6 +618,48 @@ def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
             "lhs=IndexError: tuple index out of range rhs=no exception") in lines
     assert (report.status, report.witness_n, report.lhs, report.rhs) \
         == ("fail", 12, "IndexError: tuple index out of range", "no exception")
+
+
+# A check with several cases at one index computes all of them before it
+# yields the first, so a case that raises among them is reported at its own
+# index, not at the next one.  Each mutant is made afresh for each run.
+def _power_sum_gn_raising_on_its_third_call_at_5():
+    served, calls = verify.power_sum_gn, []
+
+    def power_sum_gn(n, x):
+        if n == 5:
+            calls.append(x)
+            if len(calls) == 3:
+                raise ArithmeticError("third point at n = 5")
+        return served(n, x)
+    return power_sum_gn
+
+
+def _has_nonneg_int_coeffs_raising_on_lambda_4_2():
+    served = Polynomial.has_nonneg_int_coeffs
+
+    def has_nonneg_int_coeffs(self):
+        if self.coefficients == (0, 3, 3):
+            raise ArithmeticError("lambda(4, 2)")
+        return served(self)
+    return has_nonneg_int_coeffs
+
+
+@pytest.mark.parametrize("owner,name,make_mutant,check_id,witness,lhs", [
+    (verify, "power_sum_gn", _power_sum_gn_raising_on_its_third_call_at_5, "power-sum-agree", 5,
+     "ArithmeticError: third point at n = 5"),
+    (Polynomial, "has_nonneg_int_coeffs", _has_nonneg_int_coeffs_raising_on_lambda_4_2,
+     "lambda-degree-P", 4, "ArithmeticError: lambda(4, 2)"),
+], ids=["power-sum-agree", "lambda-degree-P"])
+def test_a_case_that_raises_among_several_at_one_index_is_reported_at_that_index(
+        owner, name, make_mutant, check_id, witness, lhs):
+    with _patched(owner, name, make_mutant()):
+        report = run_check(check_id, 8)
+    with _patched(owner, name, make_mutant()):
+        in_pass = run_suite(8, "all")[CHECK_IDS.index(check_id)]
+    assert (report.status, report.witness_n, report.lhs, report.rhs) \
+        == ("fail", witness, lhs, "no exception")
+    assert in_pass._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
 
 
 def test_a_value_error_inside_a_check_is_its_failure_not_a_usage_error(capsys):
