@@ -9,7 +9,9 @@ Two notations used throughout docs and check descriptions:
 
 Each family has a direct constructor (straight from the coefficient
 definition) and a recurrence constructor, both public API; the tests hold
-the two to each other, and no ``verify`` check does yet.  The connection
+the two to each other.  A ``verify`` pass builds Fhat_n with neither: it
+steps each row from the one before by the SF rule, and the tests hold
+those rows to :func:`hfubini_direct`.  The connection
 polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 ``Fhat_n = sum_nu lambda(n,nu) * F_nu``.  :func:`lambda_poly` serves them
 from their closed form over the SF triangle, so this module keeps no memo

@@ -20,14 +20,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .combinat import _x_plus_one_times, bernoulli, harmonic, sf_row, worpitzky_sum
 from .exactpoly import Polynomial, format_value, index
-from .fubini import (
-    fubini_direct,
-    hfubini_direct,
-    lambda_poly,
-    power_sum_gn,
-    power_sum_poly,
-    psi_from_hfubini,
-)
+from .fubini import fubini_direct, lambda_poly, power_sum_gn, power_sum_poly, psi_from_hfubini
 from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_via_derivatives
 
 DEFAULT_SEED = 0
@@ -74,25 +67,29 @@ class IdentityReport(NamedTuple):
 
 # --- rows shared within a pass -----------------------------------------------
 
-# For the running pass, build -> {n: build(n)}; None outside a pass.
-_pass_rows: ContextVar[Optional[Dict[Callable, Dict[int, object]]]] = ContextVar(
+# For the running pass, build -> {n: build(n)}, and _harmonic_steps -> its
+# list; None outside a pass.
+_pass_rows: ContextVar[Optional[Dict[Callable, object]]] = ContextVar(
     "fubinipoly_pass_rows", default=None)
 
 
 def _row(build: Callable[[int], object], n: int):
-    """build(n), built once and kept while it is among the last
-    PASS_ROWS_PER_KIND rows of its kind that the running pass asked for;
-    outside a pass, built afresh on every call.  The store lives only as
-    long as its pass, so a memo-table override made between passes always
-    reaches the rows."""
+    """build(n), built once and kept while it is among the
+    PASS_ROWS_PER_KIND highest rows of its kind that the running pass has
+    built; outside a pass, built afresh on every call.  A build may read
+    row n - 1 of its own kind through here (see :func:`_hfubini_row`), so
+    a row is dropped only once the new one is built.  The store lives only
+    as long as its pass, so a memo-table override made between passes
+    always reaches the rows."""
     store = _pass_rows.get()
     if store is None:
         return build(n)
     rows = store.setdefault(build, {})
     if n not in rows:
+        row = build(n)
         if len(rows) == PASS_ROWS_PER_KIND:
             del rows[min(rows)]
-        rows[n] = build(n)
+        rows[n] = row
     return rows[n]
 
 
@@ -106,7 +103,7 @@ def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, _row(hfubini_direct, n)(-1), Fraction((-1) ** n * n)
+        yield n, _row(_hfubini_row, n)(-1), Fraction((-1) ** n * n)
 
 
 def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -123,18 +120,18 @@ def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         rhs = -Fraction(n, 2) * bernoulli(n - 1)
-        yield n, _row(hfubini_direct, n).definite_integral(-1, 0), rhs
+        yield n, _row(_hfubini_row, n).definite_integral(-1, 0), rhs
 
 
 def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         rhs = -Fraction(n - 1, 2) * fubini_direct(n - 1)(_MINUS_HALF)
-        yield n, _row(hfubini_direct, n)(_MINUS_HALF), rhs
+        yield n, _row(_hfubini_row, n)(_MINUS_HALF), rhs
 
 
 def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, psi_from_hfubini(n, _row(hfubini_direct, n))(_MINUS_HALF), Fraction(0)
+        yield n, psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0)
 
 
 def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> Polynomial:
@@ -163,6 +160,47 @@ def _lambda_row(prev: tuple, n: int) -> tuple:
 def _served_lambda_row(n: int) -> tuple:
     """(lambda(n, 1), ..., lambda(n, n)) as :func:`lambda_poly` serves them."""
     return tuple(lambda_poly(n, v) for v in range(1, n + 1))
+
+
+def _harmonic_steps(n: int) -> list:
+    """[H_m, D_1, ..., D_m] for some m >= n, with D_k = k (H_k - H_(k-1)),
+    which is 1 for the true harmonic numbers; slot 0 holds the last H_k
+    read, so the list grows without reading one twice.  The running pass
+    keeps the list, so an override made between passes reaches it;
+    outside a pass it is made afresh."""
+    store = _pass_rows.get()
+    steps = [Fraction(0)] if store is None else store.setdefault(_harmonic_steps, [Fraction(0)])
+    for k in range(len(steps), n + 1):
+        h = harmonic(k)
+        d = k * (h - steps[0])
+        steps[0] = h
+        steps.append(d.numerator if d.denominator == 1 else d)
+    return steps
+
+
+def _hfubini_step(prev: Polynomial, n: int, steps: list) -> Polynomial:
+    """Fhat_n from ``prev`` = Fhat_(n-1), with ``steps`` from
+    :func:`_harmonic_steps`.  T(n,k) = SF(n,k) H_k obeys
+    T(n,k) = k (T(n-1,k) + T(n-1,k-1)) + SF(n-1,k-1) D_k by the SF rule
+    alone, for any values the H table holds: one small multiply-add per
+    coefficient and no division."""
+    t = prev.coefficients
+    t += (0,) * (n - len(t))
+    return Polynomial([0] + [k * (a + b) + s * d for k, a, b, s, d in
+                             zip(range(1, n + 1), t[1:] + (0,), t, sf_row(n - 1), steps[1:])])
+
+
+def _hfubini_row(n: int) -> Polynomial:
+    """Fhat_n, equal to ``fubini.hfubini_direct(n)``: in a pass stepped
+    from row n - 1 as the pass keeps it, so each row is stepped once;
+    outside a pass rolled from Fhat_0 = 0."""
+    if _pass_rows.get() is not None:
+        prev = _row(_hfubini_row, n - 1) if n > 1 else Polynomial.zero()
+        return _hfubini_step(prev, n, _harmonic_steps(n))
+    steps, row = _harmonic_steps(n), Polynomial.zero()
+    for m in range(1, n + 1):
+        row = _hfubini_step(row, m, steps)
+    return row
 
 
 def _k_split(v: int) -> Optional[Tuple[Polynomial, int]]:
@@ -205,7 +243,7 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
         while m < n:
             m += 1
             oracle = _lambda_row(oracle, m)
-        fhat = _row(hfubini_direct, n)
+        fhat = _row(_hfubini_row, n)
         served = _row(_served_lambda_row, n)
         mismatch = next((nu for nu, (lam, want) in enumerate(zip(served, oracle), 1)
                          if lam != want), None)
@@ -345,7 +383,7 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        fhat = _row(hfubini_direct, n)
+        fhat = _row(_hfubini_row, n)
         total = worpitzky_sum([fhat.coefficient(v) for v in range(1, n + 1)])
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
@@ -413,7 +451,7 @@ def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
-        yield n, hfubini_via_derivatives(n), _row(hfubini_direct, n)
+        yield n, hfubini_via_derivatives(n), _row(_hfubini_row, n)
 
 
 def _ordered_partition_count(n: int) -> int:
@@ -485,7 +523,7 @@ _ALL_CHECKS: Sequence[IdentityCheck] = (
                   False, _one_to, _cases_bt_harmonic),
     IdentityCheck("euler-hadamard", "the derivative-sum route to the coefficient-wise product matches it on random pairs",
                   True, lambda m: range(1, _EULER_CASES + 1), _cases_euler_hadamard),
-    IdentityCheck("fh-derivative-form", "Fhat_n rebuilt from the derivatives of F_n matches the direct sum",
+    IdentityCheck("fh-derivative-form", "Fhat_n rebuilt from the derivatives of F_n matches Fhat_n stepped by the SF rule",
                   False, _one_to, _cases_fh_derivative_form),
     IdentityCheck("fubini-numbers", "F_n(1) equals the enumerated count of ordered set partitions for n <= 8",
                   False, lambda m: range(1, min(8, m) + 1), _cases_fubini_numbers),
@@ -498,7 +536,8 @@ CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 # index n, a check pulling its next case reads the row of n + its step, and
 # a check with several cases at one index keeps its row itself; so as many
 # rows of each kind as the largest step serve every read of a pass, and
-# each row is built once.
+# each row is built once.  The highest row built is always kept, so Fhat_n,
+# stepped from row n - 1, finds its row there.
 PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
 
 

@@ -227,33 +227,69 @@ def test_cases_outside_a_pass_build_their_own_rows():
     assert cases[3] == (4, 28, 4)
 
 
+# Fhat_n is stepped from row n - 1, so a pass that asks for a row two ahead
+# (thm-main-central) before one that steps by 1 (fh-at-minus-one) must still
+# step each row once, and never roll one again from Fhat_0.
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
-    built = {"hfubini_direct": [], "_served_lambda_row": []}
+    built = {"_hfubini_row": [], "_served_lambda_row": [], "_hfubini_step": []}
+    direct = []
     sizes = []
 
-    def counted(name):
+    def counted(name, at):
         build = getattr(verify, name)
 
-        def count(n):
-            built[name].append(n)
-            return build(n)
+        def count(*args):
+            built[name].append(args[at])      # the row's n
+            return build(*args)
         return count
 
     def watched(cases):
         def pull_and_watch(ns, rng):
             for case in cases(ns, rng):
-                sizes.append([len(rows) for rows in verify._pass_rows.get().values()])
+                sizes.append([len(rows) for kind, rows in verify._pass_rows.get().items()
+                              if kind is not verify._harmonic_steps])
                 yield case
         return pull_and_watch
 
-    for name in built:
-        monkeypatch.setattr(verify, name, counted(name))
+    for name, at in (("_hfubini_row", 0), ("_served_lambda_row", 0), ("_hfubini_step", 1)):
+        monkeypatch.setattr(verify, name, counted(name, at))
+    monkeypatch.setattr(fubini, "hfubini_direct", direct.append)
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, check._replace(cases=watched(check.cases)))
-    assert all(r.passed for r in run_suite(60, "all"))
-    assert {name: sorted(ns) for name, ns in built.items()} == {name: list(range(1, 61))
-                                                                for name in built}
-    assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
+    for selection, kinds in (("all", set(built)),
+                             (["thm-main-central", "fh-at-minus-one"], {"_hfubini_row", "_hfubini_step"})):
+        for ns in built.values():
+            ns.clear()
+        sizes.clear()
+        assert all(r.passed for r in run_suite(60, selection))
+        assert {name: sorted(ns) for name, ns in built.items()} == {
+            name: list(range(1, 61)) if name in kinds else [] for name in built}, selection
+        assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
+    assert direct == []
+
+
+def _same_rows(got, want):
+    return got == want and [type(c) for c in got.coefficients] == [type(c) for c in want.coefficients]
+
+
+def _rolled_rows_of_a_pass(max_n):
+    token = verify._pass_rows.set({})
+    try:
+        return [verify._row(verify._hfubini_row, n) for n in range(1, max_n + 1)]
+    finally:
+        verify._pass_rows.reset(token)
+
+
+def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
+    rows = _rolled_rows_of_a_pass(300)
+    assert all(_same_rows(row, fubini.hfubini_direct(n)) for n, row in enumerate(rows, 1))
+    # H_4 + 1/7 = 187/84, so SF(n, 4) H_4 is a Fraction unless 7 divides SF(n, 4).
+    with combinat.harmonic_table.override(4, combinat.harmonic(4) + Fraction(1, 7)):
+        rows = _rolled_rows_of_a_pass(40)
+        want = [fubini.hfubini_direct(n) for n in range(1, 41)]
+        assert all(_same_rows(row, w) for row, w in zip(rows, want))
+        assert all(_same_rows(verify._hfubini_row(n), w) for n, w in enumerate(want, 1))
+        assert any(type(row.coefficient(4)) is Fraction for row in rows)
 
 
 def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
@@ -416,11 +452,14 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # SF row a enters lambda-reflection first at n = a + 2, as lambda(a+2, 1) =
 # (x+1) F_a: with row 5 corrupted, P_5 fails its one split, and so does the
 # served entry, built from the same row.
-# fh-derivative-form cannot see an SF corruption, by design: both of its
-# sides read the same SF row, and the identity holds coefficient by
-# coefficient for any row.  So the matrix holds its harmonic side, and F_5
-# corrupted on its derivative side alone: 151 x^3 there gives 151 H_3 =
-# 1661/6, which the derivative route forms as a Fraction.
+# A pass steps Fhat_n from SF row n - 1, so fh-at-minus-one,
+# thm-main-integral and drv-fh-bn, which read SF row n only through Fhat_n,
+# see a corrupted SF row m at m + 1.  fh-derivative-form reads SF row n on
+# its derivative side, so it sees the corruption at m: SF(5,2) + 1 = 31
+# gives 31 H_2 = 93/2 at x^2, against the 30 H_2 = 45 stepped from row 4.
+# The matrix also holds its harmonic side, and F_5 corrupted on its
+# derivative side alone: 151 x^3 there gives 151 H_3 = 1661/6, which the
+# derivative route forms as a Fraction.
 def _lambda_6_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
@@ -472,13 +511,17 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
      "[0, -1/2, 1/2, 0, 0, 1]", "[0, 0, 0, 0, 0, 1]"),
     (combinat.sf_table, 5, _bump_third, "power-sum-agree", 5, "21067599/128", "21043127/128"),
     (combinat.sf_table, 5, _bump_third, "lambda-reflection", 7, "(1, false)", "(1, true)"),
+    (combinat.sf_table, 5, _bump_third, "fh-derivative-form", 5,
+     "[0, 1, 93/2, 275, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
+    (combinat.sf_table, 5, _bump_third, "fh-at-minus-one", 6, "5", "6"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
      "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
     (_DERIVATIVE_SIDE_F, 5, lambda f: f + Polynomial.monomial(1, 3), "fh-derivative-form", 5,
      "[0, 1, 45, 1661/6, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
-    # H_4 + 1/7 has denominator 84, which divides no SF(n, 4), so the routes
-    # that divide SF(n, v) by the denominator of H_v take the Fraction product.
+    # H_4 + 1/7 has denominator 84, which divides neither SF(4, 4) = 24 nor
+    # SF(5, 4) = 240 (it first divides SF(7, 4)), so at these witnesses
+    # SF(n, 4) H_4 is a Fraction.
     (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "fh-at-minus-one", 4, "52/7", "4"),
     (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "cor-psi-odd", 5, "45/7", "0"),
     (combinat.harmonic_table, 4, lambda h: h + Fraction(1, 7), "drv-fh-bn", 4, "24/35", "0"),
@@ -506,7 +549,8 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
 ] + [
     (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
     for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
-], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "H", "H/derivative-form",
+], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "SF/fh-derivative-form",
+        "SF/fh-at-minus-one", "H", "H/derivative-form",
         "F/derivative-side",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
