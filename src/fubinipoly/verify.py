@@ -26,7 +26,6 @@ from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_vi
 DEFAULT_SEED = 0
 
 _MINUS_HALF = Fraction(-1, 2)
-_ONE_PLUS_4U = Polynomial([1, 4])       # (2x+1)^2 as a polynomial in u = x^2 + x
 
 # (index, lhs, rhs): index is the witness n (or case number for randomized
 # checks); lhs/rhs are exact comparables.  A generator yields cases for the
@@ -134,14 +133,19 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0)
 
 
+def _delta_plus(c: tuple, j: int) -> list:
+    """The coefficients of (delta + j x) f, for ``c`` those of f and
+    delta = (x^2+x) d/dx, the operator of the F recurrence: coefficient k
+    is k c_k + (k-1+j) c_(k-1)."""
+    return [k * v + (k - 1 + j) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+
+
 def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> Polynomial:
     """lambda(n, nu) by the recurrence, from the coefficients ``c`` of
     lambda(n-1, nu) and ``below`` of lambda(n-1, nu-1), each () for an entry
     outside row n - 1."""
-    # lambda(n, nu) = (x^2+x) * lambda(n-1, nu)' + lambda(n-1, nu-1) + x * [nu == n-1]:
-    # coefficient k is k c_k + (k-1) c_(k-1), plus that of lambda(n-1, nu-1),
-    # plus 1 at k = 1 when nu = n-1.
-    out = [k * v + (k - 1) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+    # lambda(n, nu) = delta lambda(n-1, nu) + lambda(n-1, nu-1) + x * [nu == n-1]
+    out = _delta_plus(c, 0)
     out += [0] * (len(below) - len(out))
     out[:len(below)] = map(operator.add, out, below)
     if nu == n - 1:
@@ -203,43 +207,19 @@ def _hfubini_row(n: int) -> Polynomial:
     return row
 
 
-def _k_split(v: int) -> Optional[Tuple[Polynomial, int]]:
-    """K_v = F_v / x as (A, e) with K_v = A(u) (2x+1)^e, u = x^2 + x, or
-    None when F_v has a constant term or K_v is not of that form.
-
-    x F_v(-1-x) = (-1)^v (1+x) F_v(x), so K_v lies in the reflection class
-    at -1/2: its split is (A, 0) for odd v, and (A, 2A), which is
-    A(u) (2x+1), for even v.  A split of any other form, which only a
-    corrupted SF row can give, is refused rather than assumed."""
-    f = fubini_direct(v)
-    if f.coefficient(0) != 0:
-        return None
-    a, b = Polynomial(f.coefficients[1:]).reflection_parts(_MINUS_HALF)
-    if b.is_zero():
-        return a, 0
-    if b == a * 2:
-        return a, 1
-    return None
-
-
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
     # Row n as lambda_poly serves it is first compared entry by entry with
     # row n of the recurrence, rolled forward here from lambda(1, 1) = 1 and
-    # kept one row at a time.  Once they match, the expansion is
-    #   Fhat_n = F_n + (n-1) x F_(n-1) + (x^3+x^2) sum_(a+b=n-1) C(n-1,b-1) K_a K_b
-    # over a, b >= 1, with K_v = F_v / x, since (x+1) F_a F_b = (x^3+x^2) K_a K_b.
-    # The pair a < b is formed once with both weights, and K_a K_b is
-    # A_a(u) A_b(u) (2x+1)^(e_a+e_b) by _k_split: one product of A parts.  The
-    # sum is compared with Fhat_n in reflection parts at -1/2, a linear
-    # bijection, and a mismatch is reported rebuilt in the x-basis.  A served
-    # row that differs from the recurrence is reported as its first differing
-    # entry (nu, served) against (nu, recurrence); a K_v that _k_split
-    # refuses, as (v, false) against (v, true).
-    splits: List[Optional[Tuple[Polynomial, int]]] = []     # splits[v - 1] of K_v
+    # kept one row at a time; a served entry that differs is reported as
+    # (nu, served) against (nu, recurrence).  Once they match, the expansion
+    # is proved by the Leibniz rule: F_(k+1) = (delta + x) F_k from F_0 = 1,
+    # so Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as
+    #   Q_1 = x,  Q_(m+1) = (delta + 2x) Q_m + F_(m+1),
+    # and with the closed form of lambda the expansion reads
+    #   Fhat_n = F_n - (n-1) F_(n-1) + (x+1) Q_(n-1)   (n >= 2),  Fhat_1 = F_1.
     oracle, m = (Polynomial.one(),), 1                      # row m of the recurrence
+    q, k = Polynomial.x(), 1                                # Q_k
     for n in ns:
-        while len(splits) < n - 2:
-            splits.append(_k_split(len(splits) + 1))
         while m < n:
             m += 1
             oracle = _lambda_row(oracle, m)
@@ -250,29 +230,13 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
         if mismatch is not None:
             yield n, (mismatch, served[mismatch - 1]), (mismatch, oracle[mismatch - 1])
             continue
-        if None in splits:
-            refused = splits.index(None) + 1
-            yield n, (refused, False), (refused, True)
-            continue
-        sums = [Polynomial.zero()] * 3      # sums[e]: the pairs with e_a + e_b = e
-        for a in range(1, (n - 1) // 2 + 1):
-            b = n - 1 - a
-            (part_a, e_a), (part_b, e_b) = splits[a - 1], splits[b - 1]
-            weight = math.comb(n - 1, b - 1) + (math.comb(n - 1, a - 1) if a < b else 0)
-            sums[e_a + e_b] += part_a * part_b * weight
-        # (2x+1)^2 = 1 + 4u, so the pairs sum to P(u) + (2x+1) Q(u): parts (P + Q, 2Q).
-        # x^3+x^2 = x u and x^2 = u - x, so x u (A(u) + x B(u)) has the parts
-        # (u^2 B, u (A - B)): for (P + Q, 2Q), two shifts (u^2 2Q, u (P - Q)).
-        p, q = sums[0] + sums[2] * _ONE_PLUS_4U, sums[1]
-        tail = (Polynomial((0, 0) + (q * 2).coefficients), Polynomial((0,) + (p - q).coefficients))
-        head = fubini_direct(n)
+        while k < n - 1:
+            k += 1
+            q = Polynomial(_delta_plus(q.coefficients, 2)) + fubini_direct(k)
+        expansion = fubini_direct(n)
         if n >= 2:
-            head += Polynomial.monomial(n - 1, 1) * fubini_direct(n - 1)
-        parts = (fhat - head).reflection_parts(_MINUS_HALF)
-        if tail == parts:
-            yield n, tail, parts
-        else:
-            yield n, head + Polynomial.from_reflection_parts(*tail, _MINUS_HALF), fhat
+            expansion += Polynomial(_x_plus_one_times(q.coefficients)) - fubini_direct(n - 1) * (n - 1)
+        yield n, expansion, fhat
 
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:

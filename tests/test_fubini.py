@@ -169,8 +169,8 @@ def _compose(f, g):
 
 
 def test_fubini_reflection_about_minus_half():
-    # x F_v(-1-x) = (-1)^v (1+x) F_v(x): K_v = F_v / x is in the reflection
-    # class at -1/2, which the lambda-expansion check relies on.
+    # x F_v(-1-x) = (-1)^v (1+x) F_v(x): P_v = (x+1) F_v is in the reflection
+    # class at -1/2, which the lambda-reflection check relies on.
     for v in range(1, 61):
         f = fubini_direct(v)
         assert Polynomial.x() * _compose(f, Polynomial([-1, -1])) \

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -457,6 +458,9 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # see a corrupted SF row m at m + 1.  fh-derivative-form reads SF row n on
 # its derivative side, so it sees the corruption at m: SF(5,2) + 1 = 31
 # gives 31 H_2 = 93/2 at x^2, against the 30 H_2 = 45 stepped from row 4.
+# lambda-expansion reads SF row n as F_n in its expansion of Fhat_n, so it
+# sees the same corruption at m as SF(5,2) + 1 = 46 at x^2, and H_4 + 1 at
+# 4 as the clean expansion against the corrupted Fhat_4.
 # The matrix also holds its harmonic side, and F_5 corrupted on its
 # derivative side alone: 151 x^3 there gives 151 H_3 = 1661/6, which the
 # derivative route forms as a Fraction.
@@ -514,8 +518,12 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
     (combinat.sf_table, 5, _bump_third, "fh-derivative-form", 5,
      "[0, 1, 93/2, 275, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
     (combinat.sf_table, 5, _bump_third, "fh-at-minus-one", 6, "5", "6"),
+    (combinat.sf_table, 5, _bump_third, "lambda-expansion", 5,
+     "[0, 1, 46, 275, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-at-minus-one", 4, "28", "4"),
     (combinat.harmonic_table, 4, lambda h: h + 1, "fh-derivative-form", 4,
+     "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
+    (combinat.harmonic_table, 4, lambda h: h + 1, "lambda-expansion", 4,
      "[0, 1, 21, 66, 50]", "[0, 1, 21, 66, 74]"),
     (_DERIVATIVE_SIDE_F, 5, lambda f: f + Polynomial.monomial(1, 3), "fh-derivative-form", 5,
      "[0, 1, 45, 1661/6, 500, 274]", "[0, 1, 45, 275, 500, 274]"),
@@ -550,7 +558,7 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
     (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
     for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "SF/fh-derivative-form",
-        "SF/fh-at-minus-one", "H", "H/derivative-form",
+        "SF/fh-at-minus-one", "SF/lambda-expansion", "H", "H/derivative-form", "H/lambda-expansion",
         "F/derivative-side",
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
@@ -778,14 +786,13 @@ def test_an_override_drops_the_rows_other_tables_grow_from_it():
     assert value == "1/42"
 
 
-def test_lambda_expansion_reports_the_served_entry_when_k_does_not_split():
-    # With SF(5,2) + 1, K_5 = F_5 / x is no longer A(u) (2x+1)^e.  The served
-    # entry lambda(n, n-6) = C(n-1, n-7) (x+1) F_5 reads the same row at every
-    # n where K_5 enters a pair, so from n = 7 the entry comparison fails first.
+def test_lambda_expansion_reports_the_served_entry_under_a_corrupted_sf_row():
+    # With SF(5,2) + 1, the served entry lambda(n, n-6) = C(n-1, n-7) (x+1) F_5
+    # reads the corrupted row at every n >= 7, so from n = 7 the entry
+    # comparison fails first.
     corrupted = list(combinat.sf_row(5))
     corrupted[2] += 1
     with combinat.sf_table.override(5, tuple(corrupted)):
-        assert verify._k_split(5) is None
         served = fubini.lambda_poly(7, 1)
         got = next(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0)))
     oracle = _ORACLE_LAMBDA[7][0]
@@ -793,16 +800,25 @@ def test_lambda_expansion_reports_the_served_entry_when_k_does_not_split():
     assert got == (7, (1, served), (1, oracle))
 
 
-def test_lambda_expansion_reports_a_refused_k_split(monkeypatch):
-    # The form of K_v is never assumed: a split that _k_split refuses on clean
-    # data fails the check from n = 7, where K_5 first enters a pair.
-    k_split = verify._k_split
-    monkeypatch.setattr(verify, "_k_split", lambda v: None if v == 5 else k_split(v))
-    report = run_check("lambda-expansion", 12)
-    assert (report.status, report.witness_n, report.lhs, report.rhs) \
-        == ("fail", 7, "(5, false)", "(5, true)")
-    assert list(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0))) \
-        == [(n, (5, False), (5, True)) for n in range(7, 10)]
+def _lambda_expansion_by_pair_products(n):
+    # The reference for the Leibniz step: the paper's expansion with the
+    # closed form of lambda, one product F_a F_b per pair a + b = n-1:
+    # F_n + (n-1) x F_(n-1) + (x+1) sum_(a,b>=1) C(n-1,b-1) F_a F_b.
+    f = fubini.fubini_direct
+    pairs = Polynomial.zero()
+    for a in range(1, n - 1):
+        b = n - 1 - a
+        pairs += f(a) * f(b) * math.comb(n - 1, b - 1)
+    return f(n) + Polynomial.monomial(n - 1, 1) * f(n - 1) + Polynomial([1, 1]) * pairs
+
+
+def test_lambda_expansion_matches_the_pair_products_and_fhat():
+    cases = list(CHECKS["lambda-expansion"].cases(range(2, 151), random.Random(0)))
+    assert [n for n, _, _ in cases] == list(range(2, 151))
+    for n, expansion, fhat in cases:
+        if n <= 60:
+            assert expansion == _lambda_expansion_by_pair_products(n), n
+        assert expansion == fhat == fubini.hfubini_direct(n), n
 
 
 def _lambda_6_2_doubled(row):
@@ -860,17 +876,6 @@ def test_an_in_class_substitute_is_split_and_passes_the_reflection_test():
     assert len(calls) == 10 + 1
     assert (expansion.status, expansion.witness_n, expansion.lhs, expansion.rhs) \
         == ("fail", 6, "(2, [0, 10, 70, 120, 60])", "(2, [0, 5, 35, 60, 30])")
-
-
-def test_k_splits_as_a_reflection_member():
-    for v in range(1, 61):
-        part, e = verify._k_split(v)
-        assert e == (v + 1) % 2
-        k = Polynomial(fubini.fubini_direct(v).coefficients[1:])
-        assert Polynomial.from_reflection_parts(part, part * (2 * e), Fraction(-1, 2)) == k
-        assert part.degree == (v - 1) // 2 and part.has_nonneg_int_coeffs()
-    with combinat.sf_table.override(5, (1,) + combinat.sf_row(5)[1:]):
-        assert verify._k_split(5) is None       # F_5 with a constant term
 
 
 def _gregory_newton_cases_by_fraction_steps(ns):
