@@ -15,8 +15,8 @@ those rows to :func:`hfubini_direct`.  The connection
 polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 ``Fhat_n = sum_nu lambda(n,nu) * F_nu``.  :func:`lambda_poly` serves them
 from their closed form over the SF triangle, so this module keeps no memo
-table of its own; their recurrence is the oracle that the ``verify`` check
-``lambda-expansion`` rolls forward row by row.
+table of its own.  The ``verify`` check ``lambda-expansion`` holds them to
+their recurrence, each entry stepped from the served row before it.
 """
 from __future__ import annotations
 

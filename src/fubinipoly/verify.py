@@ -66,24 +66,19 @@ class IdentityReport(NamedTuple):
 
 # --- rows shared within a pass -----------------------------------------------
 
-# For the running pass, build -> {n: build(n)}, and _harmonic_steps -> its
-# list; None outside a pass.
-_pass_rows: ContextVar[Optional[Dict[Callable, object]]] = ContextVar(
-    "fubinipoly_pass_rows", default=None)
+# For the running pass, build -> {n: build(n)}: the one store through which
+# the checks of a pass share rows.  It is set only while a pass runs.
+_pass_rows: ContextVar[Dict[Callable, Dict[int, object]]] = ContextVar("fubinipoly_pass_rows")
 
 
 def _row(build: Callable[[int], object], n: int):
     """build(n), built once and kept while it is among the
     PASS_ROWS_PER_KIND highest rows of its kind that the running pass has
-    built; outside a pass, built afresh on every call.  A build may read
-    row n - 1 of its own kind through here (see :func:`_hfubini_row`), so
-    a row is dropped only once the new one is built.  The store lives only
-    as long as its pass, so a memo-table override made between passes
-    always reaches the rows."""
-    store = _pass_rows.get()
-    if store is None:
-        return build(n)
-    rows = store.setdefault(build, {})
+    built.  A build may read row n - 1 of its own kind through here (see
+    :func:`_hfubini_row`), so a row is dropped only once the new one is
+    built.  The store lives only as long as its pass, so a memo-table
+    override made between passes always reaches the rows."""
+    rows = _pass_rows.get().setdefault(build, {})
     if n not in rows:
         row = build(n)
         if len(rows) == PASS_ROWS_PER_KIND:
@@ -153,83 +148,66 @@ def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> Polynomial:
     return Polynomial(out)
 
 
-def _lambda_row(prev: tuple, n: int) -> tuple:
-    """Row n of lambda(n, 1..n) by the recurrence from row n - 1: the oracle
-    that lambda-expansion holds the served rows to."""
-    return tuple(_lambda_entry(n, nu, prev[nu - 1].coefficients if nu < n else (),
-                               prev[nu - 2].coefficients if nu >= 2 else ())
-                 for nu in range(1, n + 1))
-
-
 def _served_lambda_row(n: int) -> tuple:
     """(lambda(n, 1), ..., lambda(n, n)) as :func:`lambda_poly` serves them."""
     return tuple(lambda_poly(n, v) for v in range(1, n + 1))
 
 
-def _harmonic_steps(n: int) -> list:
-    """[H_m, D_1, ..., D_m] for some m >= n, with D_k = k (H_k - H_(k-1)),
-    which is 1 for the true harmonic numbers; slot 0 holds the last H_k
-    read, so the list grows without reading one twice.  The running pass
-    keeps the list, so an override made between passes reaches it;
-    outside a pass it is made afresh."""
-    store = _pass_rows.get()
-    steps = [Fraction(0)] if store is None else store.setdefault(_harmonic_steps, [Fraction(0)])
-    for k in range(len(steps), n + 1):
-        h = harmonic(k)
-        d = k * (h - steps[0])
-        steps[0] = h
-        steps.append(d.numerator if d.denominator == 1 else d)
-    return steps
+def _harmonic_steps(n: int) -> tuple:
+    """(D_1, ..., D_n) with D_k = k (H_k - H_(k-1)), which is 1 for the true
+    harmonic numbers: row n - 1 as the running pass keeps it, and D_n."""
+    if n == 1:
+        below, d = (), harmonic(1)
+    else:
+        below, d = _row(_harmonic_steps, n - 1), n * (harmonic(n) - harmonic(n - 1))
+    return below + (d.numerator if d.denominator == 1 else d,)
 
 
-def _hfubini_step(prev: Polynomial, n: int, steps: list) -> Polynomial:
-    """Fhat_n from ``prev`` = Fhat_(n-1), with ``steps`` from
-    :func:`_harmonic_steps`.  T(n,k) = SF(n,k) H_k obeys
+def _hfubini_step(prev: Polynomial, n: int, steps: tuple) -> Polynomial:
+    """Fhat_n from ``prev`` = Fhat_(n-1), with ``steps`` = (D_1, ..., D_n)
+    from :func:`_harmonic_steps`.  T(n,k) = SF(n,k) H_k obeys
     T(n,k) = k (T(n-1,k) + T(n-1,k-1)) + SF(n-1,k-1) D_k by the SF rule
     alone, for any values the H table holds: one small multiply-add per
     coefficient and no division."""
     t = prev.coefficients
     t += (0,) * (n - len(t))
     return Polynomial([0] + [k * (a + b) + s * d for k, a, b, s, d in
-                             zip(range(1, n + 1), t[1:] + (0,), t, sf_row(n - 1), steps[1:])])
+                             zip(range(1, n + 1), t[1:] + (0,), t, sf_row(n - 1), steps)])
 
 
 def _hfubini_row(n: int) -> Polynomial:
-    """Fhat_n, equal to ``fubini.hfubini_direct(n)``: in a pass stepped
-    from row n - 1 as the pass keeps it, so each row is stepped once;
-    outside a pass rolled from Fhat_0 = 0."""
-    if _pass_rows.get() is not None:
-        prev = _row(_hfubini_row, n - 1) if n > 1 else Polynomial.zero()
-        return _hfubini_step(prev, n, _harmonic_steps(n))
-    steps, row = _harmonic_steps(n), Polynomial.zero()
-    for m in range(1, n + 1):
-        row = _hfubini_step(row, m, steps)
-    return row
+    """Fhat_n, equal to ``fubini.hfubini_direct(n)``, stepped from row
+    n - 1 as the running pass keeps it, so each row is stepped once."""
+    prev = _row(_hfubini_row, n - 1) if n > 1 else Polynomial.zero()
+    return _hfubini_step(prev, n, _row(_harmonic_steps, n))
 
 
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
     # Row n as lambda_poly serves it is first compared entry by entry with
-    # row n of the recurrence, rolled forward here from lambda(1, 1) = 1 and
-    # kept one row at a time; a served entry that differs is reported as
-    # (nu, served) against (nu, recurrence).  Once they match, the expansion
-    # is proved by the Leibniz rule: F_(k+1) = (delta + x) F_k from F_0 = 1,
-    # so Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as
+    # the recurrence: lambda(1, 1) = 1, and for n >= 2 each entry is stepped
+    # from served row n - 1 and compared as soon as it is made.  Row n - 1
+    # has matched already, so by induction the first served entry that
+    # differs is the first that differs from the recurrence rolled from
+    # lambda(1, 1); it is reported as (nu, served) against (nu, recurrence),
+    # and no later row can be stepped.  Once they match, the expansion is
+    # proved by the Leibniz rule: F_(k+1) = (delta + x) F_k from F_0 = 1, so
+    # Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as
     #   Q_1 = x,  Q_(m+1) = (delta + 2x) Q_m + F_(m+1),
     # and with the closed form of lambda the expansion reads
     #   Fhat_n = F_n - (n-1) F_(n-1) + (x+1) Q_(n-1)   (n >= 2),  Fhat_1 = F_1.
-    oracle, m = (Polynomial.one(),), 1                      # row m of the recurrence
+    prev = _row(_served_lambda_row, ns.start - 1) if ns.start > 1 else ()
     q, k = Polynomial.x(), 1                                # Q_k
     for n in ns:
-        while m < n:
-            m += 1
-            oracle = _lambda_row(oracle, m)
         fhat = _row(_hfubini_row, n)
         served = _row(_served_lambda_row, n)
-        mismatch = next((nu for nu, (lam, want) in enumerate(zip(served, oracle), 1)
-                         if lam != want), None)
-        if mismatch is not None:
-            yield n, (mismatch, served[mismatch - 1]), (mismatch, oracle[mismatch - 1])
-            continue
+        for nu, lam in enumerate(served, 1):
+            want = Polynomial.one() if n == 1 else _lambda_entry(
+                n, nu, prev[nu - 1].coefficients if nu < n else (),
+                prev[nu - 2].coefficients if nu >= 2 else ())
+            if lam != want:
+                yield n, (nu, lam), (nu, want)
+                return
+        prev = served
         while k < n - 1:
             k += 1
             q = Polynomial(_delta_plus(q.coefficients, 2)) + fubini_direct(k)
@@ -498,10 +476,12 @@ CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
 # A pass advances its checks together, index by index (see _run_pass).  At
 # index n, a check pulling its next case reads the row of n + its step, and
-# a check with several cases at one index keeps its row itself; so as many
-# rows of each kind as the largest step serve every read of a pass, and
-# each row is built once.  The highest row built is always kept, so Fhat_n,
-# stepped from row n - 1, finds its row there.
+# a check that reads a row again keeps it itself (one with several cases at
+# one index, and lambda-expansion, which steps row n + 1 from served row n);
+# so as many rows of each kind as the largest step serve every read of a
+# pass, and each row is built once.  The highest row built is always kept,
+# so Fhat_n and (D_1, ..., D_n), each stepped from row n - 1, find their
+# row there.
 PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
 
 

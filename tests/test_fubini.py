@@ -122,8 +122,8 @@ def test_lambda_degree_and_coefficients():
 
 
 def _lambda_row_by_polynomial_steps(prev, n):
-    # The reference for the integer route of verify._lambda_row: the recurrence
-    # as three Polynomial operations per entry.
+    # The reference for the integer route of verify._lambda_entry: the
+    # recurrence as three Polynomial operations per entry.
     x2_plus_x = Polynomial([0, 1, 1])
 
     def entry(nu):
@@ -138,12 +138,15 @@ def _lambda_row_by_polynomial_steps(prev, n):
 
 
 def test_lambda_rows_match_polynomial_step_oracle():
-    # The integer recurrence, rolled from lambda(1, 1) = 1, agrees with the
-    # polynomial steps and with the rows lambda_poly serves in closed form.
+    # The integer recurrence, stepped entry by entry from lambda(1, 1) = 1,
+    # agrees with the polynomial steps and with the rows lambda_poly serves in
+    # closed form.
     got = want = (Polynomial.one(),)
     for n in range(2, 61):
         want = _lambda_row_by_polynomial_steps(want, n)
-        got = verify._lambda_row(got, n)
+        got = tuple(verify._lambda_entry(n, nu, got[nu - 1].coefficients if nu < n else (),
+                                         got[nu - 2].coefficients if nu >= 2 else ())
+                    for nu in range(1, n + 1))
         assert got == want, n
         assert all(type(c) is int for lam in got for c in lam), n
         served = tuple(lambda_poly(n, nu) for nu in range(1, n + 1))

@@ -25,6 +25,23 @@ from fubinipoly.verify import (
 )
 
 
+@contextmanager
+def _a_pass():
+    """The row store of a pass, opened as ``_run_pass`` opens it: case
+    generators and ``verify._row`` read shared rows only within a pass."""
+    token = verify._pass_rows.set({})
+    try:
+        yield
+    finally:
+        verify._pass_rows.reset(token)
+
+
+def _cases(check_id, ns):
+    """The cases of a check over ``ns``, pulled in a pass of their own."""
+    with _a_pass():
+        return list(CHECKS[check_id].cases(ns, random.Random(0)))
+
+
 def test_registry_ids_are_unique_and_stable():
     assert len(set(CHECK_IDS)) == len(CHECK_IDS)
     # the externally documented ids; the CLI contract depends on these
@@ -66,7 +83,7 @@ def test_every_check_yields_indices_in_ascending_order():
     # run_check stops at the first failing case; that is the smallest
     # failing index only because every generator scans in ascending order.
     for check in CHECKS.values():
-        indices = [case[0] for case in check.cases(check.indices(12), random.Random(0))]
+        indices = [case[0] for case in _cases(check.check_id, check.indices(12))]
         assert indices == sorted(indices), check.check_id
 
 
@@ -214,25 +231,17 @@ def test_an_override_between_passes_reaches_the_shared_rows():
     with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
         fh = run_suite(12, _ROW_READERS)[0]
     assert (fh.status, fh.witness_n, fh.lhs, fh.rhs) == ("fail", 4, "28", "4")
-    with _SERVED_LAMBDA.override(6, _lambda_6_1_plus_x(_SERVED_LAMBDA[6])):
+    with _SERVED_LAMBDA.override(6, _lambda_1_plus_x(_SERVED_LAMBDA[6])):
         reflection = run_suite(12, _ROW_READERS)[_ROW_READERS.index("lambda-reflection")]
     assert (reflection.witness_n, reflection.lhs) == (6, "(1, false)")
     assert all(r.passed for r in run_suite(12, _ROW_READERS))
 
 
-def test_cases_outside_a_pass_build_their_own_rows():
-    assert all(r.passed for r in run_suite(12, _ROW_READERS))
-    assert verify._pass_rows.get() is None
-    with combinat.harmonic_table.override(4, combinat.harmonic(4) + 1):
-        cases = list(CHECKS["fh-at-minus-one"].cases(range(1, 13), random.Random(0)))
-    assert cases[3] == (4, 28, 4)
-
-
-# Fhat_n is stepped from row n - 1, so a pass that asks for a row two ahead
-# (thm-main-central) before one that steps by 1 (fh-at-minus-one) must still
-# step each row once, and never roll one again from Fhat_0.
+# Fhat_n and (D_1, ..., D_n) are stepped from row n - 1, so a pass that asks
+# for a row two ahead (thm-main-central) before one that steps by 1
+# (fh-at-minus-one) must still step each row once.
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
-    built = {"_hfubini_row": [], "_served_lambda_row": [], "_hfubini_step": []}
+    built = {"_hfubini_row": [], "_served_lambda_row": [], "_hfubini_step": [], "_harmonic_steps": []}
     direct = []
     sizes = []
 
@@ -247,18 +256,19 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
     def watched(cases):
         def pull_and_watch(ns, rng):
             for case in cases(ns, rng):
-                sizes.append([len(rows) for kind, rows in verify._pass_rows.get().items()
-                              if kind is not verify._harmonic_steps])
+                sizes.append([len(rows) for rows in verify._pass_rows.get().values()])
                 yield case
         return pull_and_watch
 
-    for name, at in (("_hfubini_row", 0), ("_served_lambda_row", 0), ("_hfubini_step", 1)):
+    for name, at in (("_hfubini_row", 0), ("_served_lambda_row", 0), ("_hfubini_step", 1),
+                     ("_harmonic_steps", 0)):
         monkeypatch.setattr(verify, name, counted(name, at))
     monkeypatch.setattr(fubini, "hfubini_direct", direct.append)
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, check._replace(cases=watched(check.cases)))
     for selection, kinds in (("all", set(built)),
-                             (["thm-main-central", "fh-at-minus-one"], {"_hfubini_row", "_hfubini_step"})):
+                             (["thm-main-central", "fh-at-minus-one"],
+                              {"_hfubini_row", "_hfubini_step", "_harmonic_steps"})):
         for ns in built.values():
             ns.clear()
         sizes.clear()
@@ -274,11 +284,8 @@ def _same_rows(got, want):
 
 
 def _rolled_rows_of_a_pass(max_n):
-    token = verify._pass_rows.set({})
-    try:
+    with _a_pass():
         return [verify._row(verify._hfubini_row, n) for n in range(1, max_n + 1)]
-    finally:
-        verify._pass_rows.reset(token)
 
 
 def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
@@ -289,7 +296,6 @@ def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
         rows = _rolled_rows_of_a_pass(40)
         want = [fubini.hfubini_direct(n) for n in range(1, 41)]
         assert all(_same_rows(row, w) for row, w in zip(rows, want))
-        assert all(_same_rows(verify._hfubini_row(n), w) for n, w in enumerate(want, 1))
         assert any(type(row.coefficient(4)) is Fraction for row in rows)
 
 
@@ -388,14 +394,16 @@ class _ServedLambdaRows:
 
 class _OracleLambdaRows:
     """The rows of the recurrence, built entry by entry by
-    ``verify._lambda_entry``: lambda-expansion rolls whole rows forward and
-    lambda-top the top two entries.  ``override`` makes that function serve
-    row n."""
+    ``verify._lambda_entry``: lambda-expansion steps each row from the served
+    row before it, and lambda-top rolls the top two entries forward.
+    ``override`` makes that function serve row n."""
 
     def __getitem__(self, n):
         row = (Polynomial.one(),)
         for m in range(2, n + 1):
-            row = verify._lambda_row(row, m)
+            row = tuple(verify._lambda_entry(m, nu, row[nu - 1].coefficients if nu < m else (),
+                                              row[nu - 2].coefficients if nu >= 2 else ())
+                        for nu in range(1, m + 1))
         return row
 
     def override(self, n, row):
@@ -446,10 +454,14 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # B_6(x) and the B_6 subtracted from it are the same corrupted value.
 # lambda(6,1) + x is read by three checks: the expansion, the reflection test
 # (x is not symmetric about -1/2) and the value at -1/2.  lambda-expansion
-# reports any served entry that differs from the recurrence as that entry,
+# compares served row 1 with lambda(1,1) = 1 and steps each entry of row
+# n >= 2 by the recurrence from served row n - 1, which has matched already.
+# It reports the first served entry that differs from its stepped entry,
 # (nu, served) against (nu, recurrence), and sees the same corruption of the
-# recurrence's row the same way.  lambda-top rolls only the top two entries
-# of the recurrence forward, so it sees lambda(6,5) + 1 there.
+# recurrence's row 6 the same way.  The base of that induction is held by
+# lambda(1,1) + 1 at 1 and lambda(2,1) + x at 2.  lambda-top rolls only the
+# top two entries of the recurrence forward, so it sees lambda(6,5) + 1
+# there.
 # SF row a enters lambda-reflection first at n = a + 2, as lambda(a+2, 1) =
 # (x+1) F_a: with row 5 corrupted, P_5 fails its one split, and so does the
 # served entry, built from the same row.
@@ -464,7 +476,7 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # The matrix also holds its harmonic side, and F_5 corrupted on its
 # derivative side alone: 151 x^3 there gives 151 H_3 = 1661/6, which the
 # derivative route forms as a Fraction.
-def _lambda_6_1_plus_x(row):
+def _lambda_1_plus_x(row):
     return (row[0] + Polynomial.x(),) + row[1:]
 
 
@@ -491,7 +503,7 @@ def _lambda_6_compensating(row):
     return (row[0] + fubini.fubini_direct(2), row[1] - Polynomial.x()) + row[2:]
 
 
-def _lambda_6_plus_one_at(nu):
+def _lambda_plus_one_at(nu):
     def corrupt(row):
         return row[:nu - 1] + (row[nu - 1] + 1,) + row[nu:]
     return corrupt
@@ -540,10 +552,10 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
      "-293154350/2187", "-293149490/2187"),
     (_SERVED_BERNOULLI_POLY, 5, lambda p: p + 1, "power-sum-agree", 4,
      "24619/125000", "-381/125000"),
-    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
+    (_SERVED_LAMBDA, 6, _lambda_1_plus_x, "lambda-expansion", 6,
      "(1, [0, 2, 15, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
-    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
-    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
+    (_SERVED_LAMBDA, 6, _lambda_1_plus_x, "lambda-reflection", 6, "(1, false)", "(1, true)"),
+    (_SERVED_LAMBDA, 6, _lambda_1_plus_x, "remainder-vanishes", 6, "1/4", "0"),
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_x5, "lambda-degree-P", 6, "(2, 5, true)", "(2, 4, true)"),
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric, "lambda-expansion", 6,
      "(2, [0, 6, 36, 60, 30])", "(2, [0, 5, 35, 60, 30])"),
@@ -551,11 +563,13 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
      "(1, [0, 2, 18, 52, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
     (_SERVED_LAMBDA, 6, _lambda_6_compensating, "lambda-expansion", 6,
      "(1, [0, 2, 17, 50, 60, 24])", "(1, [0, 1, 15, 50, 60, 24])"),
-    (_ORACLE_LAMBDA, 6, _lambda_6_1_plus_x, "lambda-expansion", 6,
+    (_ORACLE_LAMBDA, 6, _lambda_1_plus_x, "lambda-expansion", 6,
      "(1, [0, 1, 15, 50, 60, 24])", "(1, [0, 2, 15, 50, 60, 24])"),
-    (_ORACLE_LAMBDA, 6, _lambda_6_plus_one_at(5), "lambda-top", 6, "[1, 5]", "[0, 5]"),
+    (_SERVED_LAMBDA, 1, _lambda_plus_one_at(1), "lambda-expansion", 1, "(1, [2])", "(1, [1])"),
+    (_SERVED_LAMBDA, 2, _lambda_1_plus_x, "lambda-expansion", 2, "(1, [0, 2])", "(1, [0, 1])"),
+    (_ORACLE_LAMBDA, 6, _lambda_plus_one_at(5), "lambda-top", 6, "[1, 5]", "[0, 5]"),
 ] + [
-    (_SERVED_LAMBDA, 6, _lambda_6_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
+    (_SERVED_LAMBDA, 6, _lambda_plus_one_at(nu), "lambda-expansion", 6, lhs, rhs)
     for nu, (lhs, rhs) in _LAMBDA_6_PLUS_ONE_ENTRIES.items()
 ], ids=["SF", "SF/gregory-newton", "SF/power-sum", "SF/lambda-reflection", "SF/fh-derivative-form",
         "SF/fh-at-minus-one", "SF/lambda-expansion", "H", "H/derivative-form", "H/lambda-expansion",
@@ -563,7 +577,8 @@ _LAMBDA_6_PLUS_ONE_ENTRIES = {
         "H/fh-at-minus-one", "H/cor-psi-odd", "H/drv-fh-bn", "H/bt-harmonic", "B", "B/power-sum",
         "B(x)",
         "lambda", "lambda/reflection", "lambda/remainder", "lambda/degree-P", "lambda/symmetric-entry",
-        "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle", "lambda/oracle-top"]
+        "lambda/antisymmetric-entry", "lambda/compensating", "lambda/oracle", "lambda/row-1", "lambda/row-2",
+        "lambda/oracle-top"]
     + [f"lambda/entry-{nu}-plus-one" for nu in _LAMBDA_6_PLUS_ONE_ENTRIES])
 def test_one_corrupted_table_entry_fails_at_its_smallest_index(table, index, corrupt,
                                                               check_id, witness, lhs, rhs):
@@ -794,10 +809,10 @@ def test_lambda_expansion_reports_the_served_entry_under_a_corrupted_sf_row():
     corrupted[2] += 1
     with combinat.sf_table.override(5, tuple(corrupted)):
         served = fubini.lambda_poly(7, 1)
-        got = next(CHECKS["lambda-expansion"].cases(range(7, 10), random.Random(0)))
+        got = _cases("lambda-expansion", range(7, 10))
     oracle = _ORACLE_LAMBDA[7][0]
     assert served != oracle
-    assert got == (7, (1, served), (1, oracle))
+    assert got == [(7, (1, served), (1, oracle))]
 
 
 def _lambda_expansion_by_pair_products(n):
@@ -813,7 +828,7 @@ def _lambda_expansion_by_pair_products(n):
 
 
 def test_lambda_expansion_matches_the_pair_products_and_fhat():
-    cases = list(CHECKS["lambda-expansion"].cases(range(2, 151), random.Random(0)))
+    cases = _cases("lambda-expansion", range(2, 151))
     assert [n for n, _, _ in cases] == list(range(2, 151))
     for n, expansion, fhat in cases:
         if n <= 60:
@@ -850,14 +865,14 @@ def test_lambda_reflection_splits_each_p_a_once_on_clean_data():
 @pytest.mark.parametrize("table,index,corrupt", [
     (None, None, None),
     (combinat.sf_table, 5, _bump_third),
-    (_SERVED_LAMBDA, 6, _lambda_6_1_plus_x),
+    (_SERVED_LAMBDA, 6, _lambda_1_plus_x),
     (_SERVED_LAMBDA, 6, _lambda_6_2_doubled),
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric),
 ], ids=["clean", "SF", "lambda-plus-x", "lambda-doubled", "lambda-plus-symmetric"])
 def test_lambda_reflection_verdicts_match_a_full_split(table, index, corrupt):
     run_check("lambda-reflection", 40)      # grows the SF rows before any override
     with table.override(index, corrupt(table[index])) if table else nullcontext():
-        cases = list(CHECKS["lambda-reflection"].cases(range(3, 41), random.Random(0)))
+        cases = _cases("lambda-reflection", range(3, 41))
         want = [(n, (v, lam.in_reflection_class(Fraction(-1, 2))), (v, True))
                 for n in range(3, 41) for v, lam in enumerate(_SERVED_LAMBDA[n][:n - 2], 1)]
     assert cases == want
@@ -895,7 +910,7 @@ def _gregory_newton_cases_by_fraction_steps(ns):
 
 def test_gregory_newton_cases_match_fraction_step_oracle():
     ns = range(1, 61)
-    got = list(CHECKS["gregory-newton"].cases(ns, random.Random(0)))
+    got = _cases("gregory-newton", ns)
     want = list(_gregory_newton_cases_by_fraction_steps(ns))
     assert got == want
     for (_, lhs, _), (_, ref, _) in zip(got, want):
@@ -916,12 +931,11 @@ def _drv_fh_bn_cases_by_fraction_steps(ns):
 
 def test_drv_fh_bn_cases_match_fraction_step_oracle():
     ns = range(1, 61)
-    got = list(CHECKS["drv-fh-bn"].cases(ns, random.Random(0)))
+    got = _cases("drv-fh-bn", ns)
     want = list(_drv_fh_bn_cases_by_fraction_steps(ns))
     assert got == want
     for (_, lhs, _), (_, ref, _) in zip(got, want):
         assert type(lhs) is type(ref) is Fraction
     with combinat.harmonic_table.override(4, combinat.harmonic(4) + Fraction(1, 7)):
         ns = range(1, 13)
-        assert (list(CHECKS["drv-fh-bn"].cases(ns, random.Random(0)))
-                == list(_drv_fh_bn_cases_by_fraction_steps(ns)))
+        assert _cases("drv-fh-bn", ns) == list(_drv_fh_bn_cases_by_fraction_steps(ns))
