@@ -67,19 +67,6 @@ def index(value, low: int, high: Optional[int] = None, name: str = "n") -> int:
     return value
 
 
-def int_times(k: int, value: Rational) -> Rational:
-    """The product ``k * value`` of an int and an exact scalar, canonical.
-
-    When the denominator q of ``value`` divides k, as it does for k = SF(n, v)
-    and ``value`` = H_v, the product is the int (k // q) * numerator, found by
-    one divmod and no gcd.  Otherwise it is the Fraction product, so the
-    result is exact for any k and ``value``."""
-    quotient, remainder = divmod(k, exact(value).denominator)
-    if remainder:
-        return exact(k * value)
-    return quotient * value.numerator
-
-
 def format_rational(value: Rational) -> str:
     """Render a scalar as the reduced ``"p/q"`` string, or bare ``"p"`` for integers."""
     return str(Fraction(exact(value)))
@@ -303,13 +290,13 @@ class Polynomial:
         return anti(upper) - anti(lower)
 
     def reflect_about(self, alpha: Rational) -> "Polynomial":
-        """The polynomial g with g(x) = f(2*alpha - x).
-
-        The reflection fixes u = x^2 - 2*alpha*x and sends x to 2*alpha - x,
-        so with (A, B) the :meth:`reflection_parts` of f = A(u) + x*B(u),
-        g = (A + 2*alpha*B)(u) - x*B(u)."""
-        a, b = self.reflection_parts(alpha)
-        return Polynomial.from_reflection_parts(a + b * (2 * alpha), -b, alpha)
+        """The polynomial g with g(x) = f(2*alpha - x), by Horner's scheme
+        in the linear polynomial 2*alpha - x."""
+        mirror = Polynomial([2 * exact(alpha), -1])
+        acc = _ZERO
+        for c in reversed(self._coeffs):
+            acc = acc * mirror + c
+        return acc
 
     def has_nonneg_int_coeffs(self) -> bool:
         """True iff every coefficient is a nonnegative integer (zero qualifies)."""
@@ -321,7 +308,7 @@ class Polynomial:
 
         The reflection x -> 2*alpha - x fixes u, so f is symmetric about
         alpha exactly when B = 0 and antisymmetric exactly when 2A = s*B,
-        where s = -2*alpha.  :meth:`from_reflection_parts` is the inverse.
+        where s = -2*alpha.
 
         At s = 0, A holds the even and B the odd coefficients.  Otherwise
         the substitution x = s*y gives u = s^2 (y^2 + y), and g(y) = f(s*y)
@@ -353,17 +340,6 @@ class Polynomial:
             a = [v * inv ** (2 * k) for k, v in enumerate(a)]
             b = [v * inv ** (2 * k + 1) for k, v in enumerate(b)]
         return Polynomial(a), Polynomial(b)
-
-    @classmethod
-    def from_reflection_parts(cls, a: "Polynomial", b: "Polynomial", alpha: Rational) -> "Polynomial":
-        """The polynomial A(u) + x*B(u), u = x^2 - 2*alpha*x: the inverse of
-        :meth:`reflection_parts`, by Horner's scheme in u on the terms
-        A_k + x*B_k."""
-        u = cls([0, exact(-2 * alpha), 1])
-        acc = _ZERO
-        for k in reversed(range(max(len(a._coeffs), len(b._coeffs)))):
-            acc = acc * u + cls([a.coefficient(k), b.coefficient(k)])
-        return acc
 
     def in_reflection_class(self, alpha: Rational) -> bool:
         """Membership in the reflection class at axis alpha.

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .combinat import _x_plus_one_times, bernoulli, bernoulli_poly, harmonic, sf_row
-from .exactpoly import Polynomial, Rational, exact, index, int_times
+from .exactpoly import Polynomial, Rational, exact, index
 
 _X = Polynomial.x()
 _X2_PLUS_X = Polynomial([0, 1, 1])
@@ -47,12 +47,11 @@ def hfubini_direct(n: int) -> Polynomial:
     """Fhat_n straight from the definition: coefficient of x^v is SF(n, v) * H_v.
 
     Each coefficient is an int: the denominator of H_v divides lcm(1..v),
-    which divides v! and so SF(n, v).  :func:`int_times` finds it by one
-    exact division, and keeps the Fraction product for an entry where the
-    division leaves a remainder."""
+    which divides v! and so SF(n, v).  The product is the plain exact one,
+    which ``Polynomial`` collapses to an int."""
     n = index(n, 1)
     row = sf_row(n)
-    return Polynomial([0] + [int_times(row[v], harmonic(v)) for v in range(1, n + 1)])
+    return Polynomial([0] + [row[v] * harmonic(v) for v in range(1, n + 1)])
 
 
 def hfubini_rec(n: int) -> Polynomial:

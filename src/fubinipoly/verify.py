@@ -74,8 +74,8 @@ _pass_rows: ContextVar[Dict[Callable, Dict[int, object]]] = ContextVar("fubinipo
 def _row(build: Callable[[int], object], n: int):
     """build(n), built once and kept while it is among the
     PASS_ROWS_PER_KIND highest rows of its kind that the running pass has
-    built.  A build may read row n - 1 of its own kind through here (see
-    :func:`_hfubini_row`), so a row is dropped only once the new one is
+    built.  A build may read row n - 1 of its own kind (through
+    :func:`_row_before`), so a row is dropped only once the new one is
     built.  The store lives only as long as its pass, so a memo-table
     override made between passes always reaches the rows."""
     rows = _pass_rows.get().setdefault(build, {})
@@ -85,6 +85,17 @@ def _row(build: Callable[[int], object], n: int):
             del rows[min(rows)]
         rows[n] = row
     return rows[n]
+
+
+def _row_before(build: Callable[[int], object], n: int):
+    """Row n - 1 of ``build``'s kind, for a build that steps row n from it.
+    The rows missing below it are built bottom-up, from the highest row of
+    the kind that the running pass holds below n (or from row 1), so each
+    build finds its row n - 1 held and none recurses more than a row deep."""
+    rows = _pass_rows.get().setdefault(build, {})
+    for m in range(max((k for k in rows if k < n), default=0) + 1, n - 1):
+        _row(build, m)
+    return _row(build, n - 1)
 
 
 # --- check bodies ----------------------------------------------------------
@@ -159,7 +170,7 @@ def _harmonic_steps(n: int) -> tuple:
     if n == 1:
         below, d = (), harmonic(1)
     else:
-        below, d = _row(_harmonic_steps, n - 1), n * (harmonic(n) - harmonic(n - 1))
+        below, d = _row_before(_harmonic_steps, n), n * (harmonic(n) - harmonic(n - 1))
     return below + (d.numerator if d.denominator == 1 else d,)
 
 
@@ -178,7 +189,7 @@ def _hfubini_step(prev: Polynomial, n: int, steps: tuple) -> Polynomial:
 def _hfubini_row(n: int) -> Polynomial:
     """Fhat_n, equal to ``fubini.hfubini_direct(n)``, stepped from row
     n - 1 as the running pass keeps it, so each row is stepped once."""
-    prev = _row(_hfubini_row, n - 1) if n > 1 else Polynomial.zero()
+    prev = _row_before(_hfubini_row, n) if n > 1 else Polynomial.zero()
     return _hfubini_step(prev, n, _row(_harmonic_steps, n))
 
 
@@ -450,7 +461,7 @@ _ALL_CHECKS: Sequence[IdentityCheck] = (
     IdentityCheck("semiring-closure", "reflection classes close under product, parity-matched sum, derivative; odd members vanish at the axis",
                   True, lambda m: range(1, _CLOSURE_CASES + 1), _cases_semiring_closure),
     IdentityCheck("table-fh-fs", "lambda rows for n <= 4 match their pinned golden coefficients",
-                  False, lambda m: range(1, min(4, m) + 1), _cases_table_fh_fs),
+                  False, lambda m: range(1, min(len(_GOLDEN_LAMBDA_ROWS), m) + 1), _cases_table_fh_fs),
     IdentityCheck("remainder-vanishes", "the lambda-expansion tail of Fhat_n vanishes at -1/2 for even n",
                   False, lambda m: range(2, m + 1, 2), _cases_remainder_vanishes),
     IdentityCheck("drv-fh-bn", "sum_v SF(n,v) H_v (-1)^v/(v+1) = -(n/2) B_(n-1)",

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import (Polynomial, exact, format_rational, format_value, int_times,
-                                  json_value, parse_rational)
+from fubinipoly.exactpoly import (Polynomial, exact, format_rational, format_value, json_value,
+                                  parse_rational)
 from fubinipoly.fubini import fubini_direct, hfubini_direct, lambda_poly, power_sum_poly, psi_poly
 from fubinipoly.transforms import binomial_transform
 
@@ -93,21 +93,6 @@ def test_a_bool_is_a_plain_int():
     assert f.definite_integral(0, 1) == 2
     assert json_value(f) == [1, 2]
     assert Polynomial([True]).has_nonneg_int_coeffs()
-
-
-def test_int_times_matches_the_fraction_product():
-    rng = random.Random(31)
-    values = [0, 1, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 1), Fraction(49, 20)]
-    values += [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(40)]
-    for value in values:
-        for k in (0, 1, -1, 2, 12, -60, 720, rng.randint(-10 ** 30, 10 ** 30)):
-            got = int_times(k, value)
-            want = k * Fraction(value)
-            assert got == want, (k, value)
-            # canonical: an int exactly when the product is integral
-            assert type(got) is (int if want.denominator == 1 else Fraction), (k, value)
-    with pytest.raises(TypeError):
-        int_times(2, 0.5)
 
 
 def test_floats_rejected():
@@ -340,6 +325,16 @@ def test_reflection_agrees_with_substitution_on_every_lambda_up_to_40():
             assert member == (nu <= n - 2 or nu == n), (n, nu)
 
 
+def _from_reflection_parts(a, b, alpha):
+    # A(u) + x B(u) with u = x^2 - 2 alpha x, by Horner's scheme in u on the
+    # terms A_k + x B_k: the inverse that reflection_parts is held to.
+    u = Polynomial([0, -2 * alpha, 1])
+    acc = Polynomial.zero()
+    for k in reversed(range(max(len(a.coefficients), len(b.coefficients)))):
+        acc = acc * u + Polynomial([a.coefficient(k), b.coefficient(k)])
+    return acc
+
+
 @pytest.mark.parametrize("alpha", REFLECTION_AXES, ids=str)
 def test_reflection_parts_round_trip_on_random_polynomials(alpha):
     rng = random.Random(29)
@@ -348,7 +343,7 @@ def test_reflection_parts_round_trip_on_random_polynomials(alpha):
     polys += [_random_member(rng, rng.randint(0, 4)) for _ in range(60)]
     for f in polys:
         a, b = f.reflection_parts(alpha)
-        assert Polynomial.from_reflection_parts(a, b, alpha) == f, f
+        assert _from_reflection_parts(a, b, alpha) == f, f
 
 
 def test_reflection_parts_round_trip_on_every_lambda_up_to_40():
@@ -356,7 +351,7 @@ def test_reflection_parts_round_trip_on_every_lambda_up_to_40():
         for nu in range(1, n + 1):
             lam = lambda_poly(n, nu)
             a, b = lam.reflection_parts(HALF_NEG)
-            assert Polynomial.from_reflection_parts(a, b, HALF_NEG) == lam, (n, nu)
+            assert _from_reflection_parts(a, b, HALF_NEG) == lam, (n, nu)
             assert all(type(c) is int for c in a.coefficients + b.coefficients), (n, nu)
 
 
@@ -379,16 +374,14 @@ def test_from_reflection_parts_evaluates_to_the_definition(alpha):
     rng = random.Random(37)
     for _ in range(60):
         a, b = _random_exact_poly(rng, 5), _random_exact_poly(rng, 5)
-        f = Polynomial.from_reflection_parts(a, b, alpha)
+        f = _from_reflection_parts(a, b, alpha)
         for _ in range(3):
             t = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
             u = t * t - 2 * alpha * t
             assert f(t) == a(u) + t * b(u), (a, b, t)
-    assert Polynomial.from_reflection_parts(Polynomial([0, 1]), Polynomial.zero(), HALF_NEG) \
+    assert _from_reflection_parts(Polynomial([0, 1]), Polynomial.zero(), HALF_NEG) \
         == Polynomial([0, 1, 1])
-    assert Polynomial.from_reflection_parts(Polynomial.zero(), Polynomial.zero(), 0) == Polynomial.zero()
-    with pytest.raises(TypeError):
-        Polynomial.from_reflection_parts(X, X, 0.5)
+    assert _from_reflection_parts(Polynomial.zero(), Polynomial.zero(), 0) == Polynomial.zero()
 
 
 def test_has_nonneg_int_coeffs():

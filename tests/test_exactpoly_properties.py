@@ -104,13 +104,23 @@ def test_eval_matches_fraction_horner_in_value_and_type(f, x):
         assert value == expected and type(value) is type(expected), g
 
 
+def _from_reflection_parts(a, b, alpha):
+    # A(u) + x B(u) with u = x^2 - 2 alpha x, by Horner's scheme in u on the
+    # terms A_k + x B_k.
+    u = Polynomial([0, -2 * alpha, 1])
+    acc = Polynomial.zero()
+    for k in reversed(range(max(len(a.coefficients), len(b.coefficients)))):
+        acc = acc * u + Polynomial([a.coefficient(k), b.coefficient(k)])
+    return acc
+
+
 @PROPERTY
 @given(polys, scalars)
 def test_reflection_parts_round_trip(f, alpha):
     # f = A(u) + x B(u) with u = x^2 - 2 alpha x, and the split is unique
     # because B(u) has even and x B(u) odd degree in x.
     a, b = f.reflection_parts(alpha)
-    assert Polynomial.from_reflection_parts(a, b, alpha) == f
+    assert _from_reflection_parts(a, b, alpha) == f
     _assert_canonical(a, b)
 
 
@@ -137,8 +147,9 @@ axes = st.one_of(st.sampled_from([0, 1, -1, Fraction(-1, 2), Fraction(-3, 2), 2,
 @PROPERTY
 @given(polys, axes)
 def test_reflect_about_matches_the_taylor_shift(f, alpha):
-    # reflect_about goes through the reflection parts; the Taylor shift is
-    # an independent route to the same polynomial, coefficient types included.
+    # reflect_about substitutes 2 alpha - x by Horner's scheme; the Taylor
+    # shift is an independent route to the same polynomial, coefficient
+    # types included.
     g, reference = f.reflect_about(alpha), _reflect_by_taylor_shift(f, alpha)
     assert g == reference
     assert [type(c) for c in g] == [type(c) for c in reference]

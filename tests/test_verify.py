@@ -299,6 +299,14 @@ def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
         assert any(type(row.coefficient(4)) is Fraction for row in rows)
 
 
+def test_a_fresh_pass_steps_a_high_row_bottom_up_without_recursion():
+    # Rows 1..n-1 are built in a loop, so the depth of the call stack does
+    # not grow with n: 600 and 900 lie past the default recursion limit.
+    with _a_pass():
+        assert _same_rows(verify._row(verify._hfubini_row, 600), fubini.hfubini_direct(600))
+        assert verify._row(verify._harmonic_steps, 900) == (1,) * 900
+
+
 def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
     # Each check pulls its first case in selection order; then, at the
     # smallest index left, each check with cases there evaluates them and
