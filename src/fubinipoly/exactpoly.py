@@ -69,7 +69,7 @@ def index(value, low: int, high: Optional[int] = None, name: str = "n") -> int:
 
 def format_rational(value: Rational) -> str:
     """Render a scalar as the reduced ``"p/q"`` string, or bare ``"p"`` for integers."""
-    return str(Fraction(exact(value)))
+    return str(exact(value))
 
 
 def format_value(value) -> str:
@@ -82,7 +82,7 @@ def format_value(value) -> str:
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
     if isinstance(value, Polynomial):
-        return "[" + ", ".join(format_rational(c) for c in value.coefficients) + "]"
+        return "[" + ", ".join(map(format_rational, value.coefficients)) + "]"
     if isinstance(value, tuple):
         return "(" + ", ".join(format_value(v) for v in value) + ")"
     return str(value)
@@ -93,10 +93,19 @@ def json_value(value):
     any other scalar as its ``"p/q"`` string, a polynomial (coefficients
     constant term first) or tuple as a list of converted entries.  Ints,
     bools and anything else pass through unchanged."""
+    # type() tests first: an int, or a polynomial of ints, the common cases,
+    # never reach the slow ABC check of isinstance(value, Fraction).
+    if type(value) is int:
+        return value
+    if isinstance(value, Polynomial):
+        coeffs = value.coefficients
+        if _INT_ONLY.issuperset(map(type, coeffs)):
+            return list(coeffs)
+        return [json_value(c) for c in coeffs]
+    if isinstance(value, tuple):
+        return [json_value(v) for v in value]
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else format_rational(value)
-    if isinstance(value, (Polynomial, tuple)):
-        return [json_value(v) for v in value]
     return value
 
 

@@ -91,8 +91,9 @@ def psi_from_hfubini(n: int, fhat: Polynomial) -> Polynomial:
     """psi_n from ``fhat`` = Fhat_n: with T_v = SF(n,v) H_v its coefficient
     of x^v, the coefficient of x^v in psi_n is (v-1) T_v + (n-1) SF(n,v)."""
     row = sf_row(n)
-    return Polynomial([0] + [(v - 1) * fhat.coefficient(v) + (n - 1) * row[v]
-                             for v in range(1, n + 1)])
+    t = fhat.coefficients
+    t += (0,) * (n + 1 - len(t))
+    return Polynomial([0] + [(v - 1) * t[v] + (n - 1) * row[v] for v in range(1, n + 1)])
 
 
 def remainder_R(n: int) -> Polynomial:

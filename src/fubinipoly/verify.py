@@ -337,7 +337,7 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         fhat = _row(_hfubini_row, n)
-        total = worpitzky_sum([fhat.coefficient(v) for v in range(1, n + 1)])
+        total = worpitzky_sum(fhat.coefficients[1:])
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
 

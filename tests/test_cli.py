@@ -353,6 +353,30 @@ def test_table_prints_its_golden_bytes(family, fmt, suffix, capsys):
     assert out.encode() == (_GOLDEN / f"table-{family}-7.{suffix}").read_bytes()
 
 
+def _compute_golden_runs(family):
+    """Each compute run pinned for ``family``: n = 1, 7 and 30, with --nu 1
+    where the family reads it, with and without --at -1/2 where it takes a
+    point, in both formats."""
+    _, needs_nu, polynomial = cli._COMPUTE_FAMILIES[family]
+    for n in (1, 7, 30):
+        for at in ([], ["--at", "-1/2"]) if polynomial else ([],):
+            for fmt in ("plain", "json"):
+                yield (["compute", family, "--n", str(n)] + (["--nu", "1"] if needs_nu else [])
+                       + at + ["--format", fmt])
+
+
+@pytest.mark.parametrize("family", list(cli._COMPUTE_FAMILIES))
+def test_compute_prints_its_golden_bytes(family, capsys):
+    # The golden file is each run's command line, "$ fubinipoly ...", then
+    # its stdout.
+    transcript = ""
+    for args in _compute_golden_runs(family):
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, ""), args
+        transcript += "$ fubinipoly " + " ".join(args) + "\n" + out
+    assert transcript.encode() == (_GOLDEN / f"compute-{family}.txt").read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_table_writes_each_row_before_making_the_next(fmt, capsys, monkeypatch):
     written = []        # the length of the output when each row is made

@@ -41,6 +41,23 @@ def test_format_and_json_of_exact_values():
     assert json_value(Fraction(-1, 3)) == "-1/3"
 
 
+def test_rendering_integers_builds_no_fraction(monkeypatch):
+    poly = Polynomial([k ** 20 for k in range(1, 1001)])
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    text, doc = format_value(poly), json_value(poly)
+    monkeypatch.undo()
+    assert built == []
+    assert text == "[" + ", ".join(str(k ** 20) for k in range(1, 1001)) + "]"
+    assert doc == [k ** 20 for k in range(1, 1001)]
+
+
 def test_format_rational():
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(7) == "7"

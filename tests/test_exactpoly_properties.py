@@ -1,15 +1,18 @@
 """Ring laws of Polynomial, the canonical form of every result, the
 antiderivative and evaluation against their definitions, the
-reflection-parts round trip, reflection against the Taylor shift, and the
-parse_rational / format_rational round trip, by property.
+reflection-parts round trip, reflection against the Taylor shift, the
+parse_rational / format_rational round trip, and the renderers against
+their all-Fraction forms, by property.
 
 hypothesis is a test-only dependency: without it this module is skipped.
 """
+import json
 from fractions import Fraction
 
 import pytest
 
-from fubinipoly.exactpoly import Polynomial, format_rational, parse_rational
+from fubinipoly.exactpoly import (Polynomial, exact, format_rational, format_value, json_value,
+                                  parse_rational)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -182,3 +185,47 @@ def test_parse_then_format_gives_the_reduced_literal(p, q, sign, pad):
         assert parsed == value
         assert format_rational(parsed) == str(value)
         assert parse_rational(format_rational(parsed)) == parsed
+
+
+# The renderers as they were when every scalar went through a Fraction: the
+# oracle that the int fast paths must reproduce.
+def _fraction_format_rational(value):
+    return str(Fraction(exact(value)))
+
+
+def _fraction_format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        return _fraction_format_rational(value)
+    if isinstance(value, Polynomial):
+        return "[" + ", ".join(_fraction_format_rational(c) for c in value.coefficients) + "]"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_fraction_format_value(v) for v in value) + ")"
+    return str(value)
+
+
+def _fraction_json_value(value):
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else _fraction_format_rational(value)
+    if isinstance(value, (Polynomial, tuple)):
+        return [_fraction_json_value(v) for v in value]
+    return value
+
+
+exact_scalars = st.one_of(st.booleans(), big_rationals)
+exact_values = st.one_of(
+    exact_scalars,
+    st.lists(st.integers(), max_size=7).map(Polynomial),
+    st.lists(big_rationals, max_size=7).map(Polynomial),
+    st.tuples(exact_scalars, st.lists(big_rationals, max_size=3).map(Polynomial)))
+
+
+@PROPERTY
+@given(exact_values)
+def test_renderers_match_their_fraction_forms(value):
+    if not isinstance(value, (Polynomial, tuple)):
+        assert format_rational(value) == str(Fraction(value)) == _fraction_format_rational(value)
+    assert format_value(value) == _fraction_format_value(value)
+    # json.dumps tells true from 1, which == does not.
+    assert json.dumps(json_value(value)) == json.dumps(_fraction_json_value(value))
