@@ -9,6 +9,7 @@ and cross-checked by two independent algorithms (see :func:`bernoulli` and
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -134,6 +135,26 @@ def sf(n: int, k: int) -> int:
 def sf_row(n: int) -> tuple:
     """Row n of the scaled-Stirling triangle: (SF(n,0), ..., SF(n,n))."""
     return sf_table[index(n, 0)]
+
+
+def _ordered_partition_count(n: int) -> int:
+    """Count ordered set partitions of an n-set, n >= 1, by exhaustive
+    enumeration: each set partition as a restricted growth string, then each
+    order of its blocks by ``itertools.permutations``.  No memoization, no
+    closed form, and no table read: ``verify``'s fubini-numbers compares
+    F_n(1) with this count, which shares no code with the SF triangle.
+    Every order is a nonempty tuple, so ``map(bool, ...)`` counts the orders
+    at C speed, and none is stored."""
+
+    def set_partitions(i: int, blocks: tuple) -> Iterator[tuple]:
+        # element i joins one of the blocks opened so far, or opens the next one
+        if i == n:
+            yield blocks
+            return
+        for j, block in enumerate(blocks + ((),)):
+            yield from set_partitions(i + 1, blocks[:j] + (block + (i,),) + blocks[j + 1:])
+
+    return sum(sum(map(bool, itertools.permutations(blocks))) for blocks in set_partitions(0, ()))
 
 
 def harmonic(n: int) -> Fraction:

@@ -133,5 +133,5 @@ def power_sum_gn(n: int, x: Rational) -> Fraction:
     falling = 1     # prod_{i=0..k} (p - i q)
     for k in range(n + 1):
         falling *= p - k * q
-        acc = acc * q * (k + 1) + row[k] * falling
+        acc = acc * (q * (k + 1)) + row[k] * falling
     return Fraction(acc, q ** (n + 1) * math.factorial(n + 1))

@@ -84,17 +84,18 @@ def hfubini_via_derivatives(n: int) -> Polynomial:
 
     With c_m = SF(n, m), the coefficient of x^j in F_n^(v)/v! is
     c_(j+v) C(j+v, v), so coefficient m of the sum is read off as
-    c_m sum_{v=1..m} (-1)^(v+1) C(m, v) / v, with no harmonic number read:
-    row m of Pascal's triangle dotted with the weights (-1)^(v+1) D / v over
-    D = lcm(1..n), then one exact division by D (a Fraction on a remainder).
+    c_m sum_{v=1..m} (-1)^(v+1) C(m, v) / v, with no harmonic number read.
+    Over D = lcm(1..n) the inner sums, for every m at once, are the
+    :func:`binomial_transform` of (0, -D/1, ..., -D/n), which applies
+    Pascal's rule by subtraction alone; each coefficient is then one exact
+    division by D (a Fraction on a remainder).
     """
     coeffs = fubini_direct(n).coefficients
     den = math.lcm(*range(1, len(coeffs)))
-    weights = [0] + [den // v if v % 2 else -(den // v) for v in range(1, len(coeffs))]
-    binom, out = [1], [0]
-    for c in coeffs[1:]:
-        binom = [1, *map(operator.add, binom, binom[1:]), 1]
-        total = c * sum(map(operator.mul, binom, weights))
+    sums = binomial_transform([0] + [-(den // v) for v in range(1, len(coeffs))])
+    out = [0]
+    for c, s in zip(coeffs[1:], sums[1:]):
+        total = c * s
         q, r = divmod(total, den)
         out.append(Fraction(total, den) if r else q)
     return Polynomial(out)

@@ -9,7 +9,6 @@ Randomized checks draw from a seeded generator and record the seed.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 import random
@@ -18,8 +17,9 @@ from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .combinat import _x_plus_one_times, bernoulli, harmonic, sf_row, worpitzky_sum
-from .exactpoly import Polynomial, format_value, index
+from .combinat import (_ordered_partition_count, _x_plus_one_times, bernoulli, harmonic, sf_row,
+                       worpitzky_sum)
+from .exactpoly import Polynomial, _fold, format_value, index
 from .fubini import fubini_direct, lambda_poly, power_sum_gn, power_sum_poly, psi_from_hfubini
 from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_via_derivatives
 
@@ -327,11 +327,18 @@ def _cases_table_fh_fs(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
     # remainder_R(n)(-1/2), summed term by term: evaluation at -1/2 is a ring
     # homomorphism, so the value is the same without building the polynomial.
-    f_at = [None] + [fubini_direct(v)(_MINUS_HALF) for v in range(1, ns.stop - 2)]
+    # A polynomial with coefficients c takes the value A / 2^(len(c) - 1) at
+    # -1/2, with A = _fold(c, -1, 2) an integer, so the terms are summed in
+    # integers over the largest power of two among them (2^n for the true
+    # rows) and one Fraction is formed per n.  A term whose F_v(-1/2) is 0, as
+    # it is for every even v, adds exactly 0, and its lambda entry is not
+    # evaluated.
+    f_at = [(_fold(f, -1, 2), len(f) - 1) for f in map(sf_row, range(1, ns.stop - 2))]
     for n in ns:
-        row = _row(_served_lambda_row, n)[:n - 2]
-        total = sum(lam(_MINUS_HALF) * f_at[v] for v, lam in enumerate(row, 1))
-        yield n, total, Fraction(0)
+        terms = [(a * _fold(lam.coefficients, -1, 2), e + len(lam.coefficients) - 1)
+                 for (a, e), lam in zip(f_at, _row(_served_lambda_row, n)[:n - 2]) if a]
+        top = max((e for _, e in terms), default=0)
+        yield n, Fraction(sum(t << (top - e) for t, e in terms), 1 << top), Fraction(0)
 
 
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -360,10 +367,15 @@ def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
 
 
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
+    # power_sum_poly(n) is scaled to int coefficients over their common
+    # denominator once, and the scaled polynomial evaluated at every point;
+    # evaluating power_sum_poly(n) itself would scale it again at each one.
     for n in ns:
-        poly = power_sum_poly(n)
+        c = power_sum_poly(n).coefficients
+        den = math.lcm(*(v.denominator for v in c))
+        scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
         xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
-        yield from [(n, poly(x), power_sum_gn(n, x)) for x in xs]
+        yield from [(n, Fraction(scaled(x), den), power_sum_gn(n, x)) for x in xs]
 
 
 _BT_CASES = 100
@@ -405,22 +417,6 @@ def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Case]:
 def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
     for n in ns:
         yield n, hfubini_via_derivatives(n), _row(_hfubini_row, n)
-
-
-def _ordered_partition_count(n: int) -> int:
-    """Count ordered set partitions of an n-set by exhaustive enumeration:
-    each set partition as a restricted growth string, then each order of its
-    blocks by ``itertools.permutations``.  No memoization, no closed form."""
-
-    def set_partitions(i: int, blocks: tuple) -> Iterator[tuple]:
-        # element i joins one of the blocks opened so far, or opens the next one
-        if i == n:
-            yield blocks
-            return
-        for j, block in enumerate(blocks + ((),)):
-            yield from set_partitions(i + 1, blocks[:j] + (block + (i,),) + blocks[j + 1:])
-
-    return sum(1 for blocks in set_partitions(0, ()) for _ in itertools.permutations(blocks))
 
 
 def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Case]:

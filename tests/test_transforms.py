@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat
+from fubinipoly import combinat, transforms
 from fubinipoly.combinat import harmonic
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import fubini_direct, hfubini_direct
@@ -187,6 +187,40 @@ def test_hfubini_via_derivatives_matches_the_derivative_chain_in_value_and_type(
     for n in range(1, 81):
         got = hfubini_via_derivatives(n)
         want = _hfubini_via_derivatives_by_chain(n)
+        assert got == want, n
+        assert [type(c) for c in got] == [type(c) for c in want], n
+
+
+def _hfubini_via_derivatives_by_pascal_rows(coeffs):
+    # The reference for the inner sums by one binomial transform: row m of
+    # Pascal's triangle rolled from row m - 1 and dotted with the weights
+    # (-1)^(v+1) D/v over D = lcm(1..n), then one exact division by D.
+    den = math.lcm(*range(1, len(coeffs)))
+    weights = [0] + [den // v if v % 2 else -(den // v) for v in range(1, len(coeffs))]
+    binom, out = [1], [0]
+    for c in coeffs[1:]:
+        binom = [1] + [a + b for a, b in zip(binom, binom[1:])] + [1]
+        out.append(Fraction(c * sum(b * w for b, w in zip(binom, weights)), den))
+    return Polynomial(out)
+
+
+def test_hfubini_via_derivatives_matches_the_pascal_row_sums_in_value_and_type():
+    for n in range(1, 81):
+        got = hfubini_via_derivatives(n)
+        want = _hfubini_via_derivatives_by_pascal_rows(fubini_direct(n).coefficients)
+        assert got == want, n
+        assert [type(c) for c in got] == [type(c) for c in want], n
+
+
+def test_hfubini_via_derivatives_matches_the_pascal_row_sums_on_any_integer_row(monkeypatch):
+    # Any F_n the route reads, not only the true one: random integer rows,
+    # whose coefficients the division by D leaves as Fractions.
+    rng = random.Random(11)
+    for n in range(1, 41):
+        poly = Polynomial([0] + [rng.randint(-999, 999) for _ in range(n)])
+        monkeypatch.setattr(transforms, "fubini_direct", lambda m, poly=poly: poly)
+        got = hfubini_via_derivatives(n)
+        want = _hfubini_via_derivatives_by_pascal_rows(poly.coefficients)
         assert got == want, n
         assert [type(c) for c in got] == [type(c) for c in want], n
 

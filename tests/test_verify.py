@@ -947,3 +947,63 @@ def test_drv_fh_bn_cases_match_fraction_step_oracle():
     with combinat.harmonic_table.override(4, combinat.harmonic(4) + Fraction(1, 7)):
         ns = range(1, 13)
         assert _cases("drv-fh-bn", ns) == list(_drv_fh_bn_cases_by_fraction_steps(ns))
+
+
+def _remainder_vanishes_cases_by_fraction_terms(ns):
+    # The reference for the integer sum over one power of two: every term
+    # lambda(n,v)(-1/2) F_v(-1/2) a Fraction by Polynomial.__call__, none
+    # skipped, added one gcd-normalised step at a time.
+    half = Fraction(-1, 2)
+    for n in ns:
+        terms = [lam(half) * fubini.fubini_direct(v)(half)
+                 for v, lam in enumerate(_SERVED_LAMBDA[n][:n - 2], 1)]
+        yield n, sum(terms, Fraction(0)), Fraction(0)
+
+
+def _lambda_1_zeroed(row):
+    return (Polynomial.zero(),) + row[1:]
+
+
+def test_remainder_vanishes_cases_match_fraction_term_oracle():
+    ns = range(2, 61, 2)
+    got = _cases("remainder-vanishes", ns)
+    assert got == list(_remainder_vanishes_cases_by_fraction_terms(ns))
+    assert all(type(lhs) is Fraction for _, lhs, _ in got)
+
+
+# lambda(n, v) = C (x+1) F_(n-1-v) vanishes at -1/2 for odd v and even n, and
+# F_v(-1/2) for even v, so every true term is 0: lambda(8,1) zeroed and
+# lambda(6,2) + x^5 (F_2(-1/2) = 0) leave the sum 0, the others do not.
+@pytest.mark.parametrize("table,index,corrupt,nonzero", [
+    (_SERVED_LAMBDA, 6, _lambda_1_plus_x, True),
+    (_SERVED_LAMBDA, 6, _lambda_6_2_plus_x5, False),
+    (_SERVED_LAMBDA, 8, _lambda_1_zeroed, False),
+    (_SERVED_LAMBDA, 8, _lambda_plus_one_at(3), True),
+    (combinat.sf_table, 4, lambda row: row[:2] + (row[2] + 1,) + row[3:], True),
+], ids=["lambda-plus-x", "lambda-plus-x5", "lambda-zeroed", "lambda-plus-one", "SF(4,2)+1"])
+def test_remainder_vanishes_cases_match_fraction_term_oracle_on_corrupted_rows(table, index, corrupt,
+                                                                              nonzero):
+    # Corrupted entries of other degrees, a zero entry, and F_4(-1/2) made
+    # nonzero, so that a term of even v is summed too.
+    ns = range(2, 17, 2)
+    run_check("remainder-vanishes", 16)     # grows the SF rows before any override
+    with table.override(index, corrupt(table[index])):
+        got = _cases("remainder-vanishes", ns)
+        want = list(_remainder_vanishes_cases_by_fraction_terms(ns))
+    assert got == want
+    assert any(lhs != 0 for _, lhs, _ in got) == nonzero
+
+
+def test_power_sum_agree_cases_are_the_unscaled_values():
+    def unscaled(ns):
+        rng = random.Random(0)
+        for n in ns:
+            poly = fubini.power_sum_poly(n)
+            xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
+            yield from [(n, poly(x), fubini.power_sum_gn(n, x)) for x in xs]
+
+    ns = range(1, 41)
+    assert _cases("power-sum-agree", ns) == list(unscaled(ns))
+    with _SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1):
+        ns = range(1, 9)
+        assert _cases("power-sum-agree", ns) == list(unscaled(ns))
