@@ -22,16 +22,22 @@ from .exactpoly import Polynomial, Rational, exact, index
 class MemoTable:
     """Rows of an exact table, memoized and grown on demand.
 
-    ``table[n]`` returns row n; a missing row m is computed as
-    ``extend(table[m - 1], m)`` under this table's own lock, so completed
-    rows are never recomputed and are safe to read from any thread.  Rows
-    are whatever ``extend`` returns (a tuple of a triangle's row or a single
-    number) and must not be mutated.  Indices are not validated here; the
-    public functions that read a table do that.
+    ``table[n]`` returns row n.  A row that is absent (past the end, or
+    released) is stepped as ``extend(table[m - 1], m)`` up from the nearest
+    row the table holds below it, under this table's own lock, and every row
+    stepped is kept; so a row is computed once until it is released, and is
+    safe to read from any thread.  ``release(below)`` drops rows
+    1..below - 1, and a later read rebuilds them: a ``verify`` pass that
+    serves no lambda row releases the SF rows below n - 1 as it reaches
+    index n.  Row 0 is the base and is never dropped.  Rows are whatever
+    ``extend`` returns (a tuple of a triangle's row or a single number) and
+    must not be mutated.  Indices are not validated here; the public
+    functions that read a table do that.
     """
 
     __slots__ = ("_rows", "_extend", "_lock")
     _all: List["MemoTable"] = []        # every table made, for override to cut back
+    _overrides = 0                      # override blocks in force; release waits for none
 
     def __init__(self, first_rows: Sequence, extend: Callable[[Any, int], Any]):
         self._rows: List = list(first_rows)
@@ -40,29 +46,50 @@ class MemoTable:
         MemoTable._all.append(self)
 
     def __getitem__(self, n: int):
-        rows = self._rows
-        if n < len(rows):
-            return rows[n]
+        try:
+            row = self._rows[n]
+        except IndexError:
+            row = None
+        if row is not None:
+            return row
         with self._lock:
-            while len(rows) <= n:
-                m = len(rows)
-                rows.append(self._extend(rows[m - 1], m))
-        return rows[n]
+            rows = self._rows
+            rows += [None] * (n + 1 - len(rows))
+            m = n
+            while rows[m] is None:
+                m -= 1
+            row = rows[m]
+            for m in range(m + 1, n + 1):
+                row = rows[m] = self._extend(row, m)
+        return row
+
+    def release(self, below: int) -> None:
+        """Drop rows 1..below - 1 until they are read again.  While any
+        override block is in force nothing is dropped, so no row is rebuilt
+        from a replacement."""
+        with self._lock:
+            stop = min(below, len(self._rows))
+            if stop > 1 and not MemoTable._overrides:
+                self._rows[1:stop] = [None] * (stop - 1)
 
     @contextmanager
     def override(self, n: int, value) -> Iterator[None]:
         """Replace row n by ``value`` for the duration of the block, for
         fault-injection tests.  Row n + 1 is grown first, so no later row of
-        this table is derived from the replacement.  Rows that any table
-        grows inside the block may be, so at its end every table is cut back
-        to its length at the start; rows grown before keep their values."""
+        this table is derived from the replacement, and no table releases a
+        row inside the block, so none is rebuilt from it.  Rows that any
+        table grows inside the block may be derived from it, so at its end
+        every table is cut back to its length at the start; rows grown
+        before keep their values."""
         self[n + 1]
         lengths = [(table, len(table._rows)) for table in MemoTable._all]
         original = self._rows[n]
         self._rows[n] = value
+        MemoTable._overrides += 1
         try:
             yield
         finally:
+            MemoTable._overrides -= 1
             self._rows[n] = original
             for table, length in lengths:
                 with table._lock:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .combinat import (_ordered_partition_count, _x_plus_one_times, bernoulli, harmonic, sf_row,
-                       worpitzky_sum)
+                       sf_table, worpitzky_sum)
 from .exactpoly import Polynomial, _fold, format_value, index
 from .fubini import fubini_direct, lambda_poly, power_sum_gn, power_sum_poly, psi_from_hfubini
 from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_via_derivatives
@@ -348,22 +348,39 @@ def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
 
 
+def _gregory_newton_poly(row: tuple) -> Polynomial:
+    """sum_k SF(n,k) C(x,k) for ``row`` = SF row n.  C(x,k) = (x)_k / k!
+    with the integer falling factorial (x)_k = x(x-1)...(x-k+1), so n! times
+    the sum is the integer polynomial sum_k SF(n,k) (n!/k!) (x)_k.  It is
+    summed by Horner's scheme in the Newton basis, (x)_(k+1) = (x)_k (x - k),
+    and each coefficient is divided by n! once at the end."""
+    n = len(row) - 1
+    acc = [row[n]]
+    weight = 1      # n!/k!
+    for k in range(n - 1, -1, -1):
+        weight *= k + 1
+        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += row[k] * weight
+    den = math.factorial(n)
+    return Polynomial([Fraction(a, den) for a in acc])
+
+
 def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
-    # C(x,k) = (x)_k / k! with the integer falling factorial
-    # (x)_k = x(x-1)...(x-k+1), so n! * sum_k SF(n,k) C(x,k) is the integer
-    # polynomial sum_k SF(n,k) (n!/k!) (x)_k.  It is summed by Horner's
-    # scheme in the Newton basis, (x)_(k+1) = (x)_k (x - k), and each
-    # coefficient is divided by n! once at the end.
+    # By Newton's forward-difference formula the polynomial of degree <= n
+    # through (m, m^n), m = 0..n, is sum_k Delta^k 0^n C(x,k), and it is x^n.
+    # So the identity holds as polynomials exactly when Delta^k 0^n = SF(n,k)
+    # for k = 0..n; the differences are taken in integers by subtraction
+    # alone.  Only a row that differs is summed in the Newton basis, so a
+    # failure reports that polynomial.
     for n in ns:
         row = sf_row(n)
-        acc = [row[n]]
-        weight = 1      # n!/k!
-        for k in range(n - 1, -1, -1):
-            weight *= k + 1
-            acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
-            acc[0] += row[k] * weight
-        den = math.factorial(n)
-        yield n, Polynomial([Fraction(a, den) for a in acc]), Polynomial.monomial(1, n)
+        want = Polynomial.monomial(1, n)
+        diffs = []
+        values = [m ** n for m in range(n + 1)]
+        while values:
+            diffs.append(values[0])
+            values = list(map(operator.sub, values[1:], values))
+        yield n, want if tuple(diffs) == row else _gregory_newton_poly(row), want
 
 
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -549,12 +566,20 @@ def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]
     case streams are merged by index, ties in selection order, so every
     check with cases at an index evaluates them all before the pass moves
     on.  The rows the checks share (:func:`_row`) are built once for the
-    pass and dropped with it."""
-    token = _pass_rows.set({})
+    pass and dropped with it.  A pass that serves no lambda row reads no SF
+    row more than one below the index it has reached, so as it reaches
+    index n it releases the SF rows below n - 1; served lambda rows read
+    every SF row, so a pass that serves them releases none.  A row read
+    after all is rebuilt, so the rule costs time if wrong, never a result."""
+    rows: Dict[Callable, Dict[int, object]] = {}
+    token = _pass_rows.set(rows)
     try:
         scans = [_Scan(CHECKS[check_id], max_n, seed) for check_id in ids]
-        for _ in heapq.merge(*scans):
-            pass
+        below = 0
+        for n in heapq.merge(*scans):
+            if n - 1 > below and _served_lambda_row not in rows:
+                below = n - 1
+                sf_table.release(below)
     finally:
         _pass_rows.reset(token)
     return [scan.report() for scan in scans]

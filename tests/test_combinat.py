@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+from fubinipoly import combinat
 from fubinipoly.combinat import (
     MemoTable,
     bernoulli,
@@ -245,6 +247,29 @@ def test_memo_table_override_never_feeds_later_rows():
     assert doubled[6] == 42
 
 
+def test_memo_table_rebuilds_a_released_row_from_the_nearest_row_below():
+    table = MemoTable([0], lambda prev, n: prev + n)
+    assert table[6] == 21
+    table.release(5)
+    assert table._rows == [0, None, None, None, None, 15, 21]
+    assert table[3] == 6
+    assert table._rows == [0, 1, 3, 6, None, 15, 21]
+    table.release(99)                   # past the end: every row but the base
+    assert table._rows == [0] + [None] * 6
+    assert table[8] == 36               # stepped up from row 0, past the end
+    assert None not in table._rows
+
+
+def test_memo_table_releases_nothing_inside_an_override_block():
+    table = MemoTable([0], lambda prev, n: prev + n)
+    table[6]
+    with table.override(3, 100):
+        table.release(7)
+        assert table._rows == [0, 1, 3, 100, 10, 15, 21]
+    table.release(7)
+    assert table[3] == 6
+
+
 # --- shared-cache concurrency smoke ----------------------------------------------------
 
 def test_triangle_extension_is_thread_safe():
@@ -272,3 +297,70 @@ def test_triangle_extension_is_thread_safe():
     for acc in results:
         for n, k, value in acc:
             assert value == sf(n, k)
+
+
+def test_reads_racing_a_release_never_see_a_missing_or_wrong_row():
+    truth = [sf_row(n) for n in range(61)]
+    table = MemoTable([(1,)], combinat._sf_row)
+    done = threading.Event()
+    errors = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(2000):
+                n = rng.randint(0, 60)
+                row = table[n]
+                if row != truth[n]:
+                    errors.append((n, row))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    def releaser():
+        rng = random.Random(99)
+        while not done.is_set():
+            table.release(rng.randint(1, 62))
+
+    readers = [threading.Thread(target=reader, args=(s,)) for s in range(3)]
+    release = threading.Thread(target=releaser)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        release.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        release.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + [release])
+    assert errors == []
+
+
+class _ReleaseOnUnlock:
+    """A table lock that, when a read unlocks it, lets a release of every
+    row run before the read goes on: the worst interleaving for a read that
+    has just built its row."""
+
+    def __init__(self, table):
+        self.lock = threading.Lock()
+        self.table = table
+        self.armed = True
+
+    def __enter__(self):
+        self.lock.acquire()
+
+    def __exit__(self, *exc):
+        self.lock.release()
+        if self.armed:
+            self.armed = False
+            self.table.release(99)
+
+
+def test_a_read_returns_the_row_it_built_though_a_release_lands_at_once():
+    table = MemoTable([0], lambda prev, n: prev + n)
+    table._lock = _ReleaseOnUnlock(table)
+    assert table[5] == 15
+    assert table._rows == [0] + [None] * 5

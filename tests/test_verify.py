@@ -375,6 +375,42 @@ def test_suite_recovers_after_fault_restored():
     assert all(r.passed for r in reports)
 
 
+# A pass that serves no lambda row releases the SF rows below n - 1 as it
+# reaches index n; one that serves them releases none.
+_VALUE_CHECKS = ["fs-at-minus-one", "fh-at-minus-one", "worpitzky-integral", "fs-central-value",
+                 "thm-main-integral", "thm-main-central", "cor-psi-odd", "drv-fh-bn", "bt-harmonic"]
+
+
+def _sf_rows_held(top):
+    return [n for n, row in enumerate(combinat.sf_table._rows[:top + 1]) if row is not None]
+
+
+def test_a_value_pass_keeps_a_window_of_sf_rows_and_rebuilds_the_rest_true():
+    assert all(r.passed for r in run_suite(300, _VALUE_CHECKS))
+    held = _sf_rows_held(301)
+    assert held[0] == 0 and len(held) <= 5 and min(held[1:]) >= 297
+    row = (1,)
+    for m in range(1, 302):
+        row = combinat._sf_row(row, m)
+        assert combinat.sf_row(m) == row
+    assert run_check("lambda-reflection", 60).passed
+
+
+def test_a_pass_that_serves_lambda_rows_keeps_every_sf_row():
+    run_suite(60, _VALUE_CHECKS)
+    assert all(r.passed for r in run_suite(60, "all"))
+    assert _sf_rows_held(60) == list(range(61))
+
+
+def test_a_value_pass_inside_an_override_block_keeps_the_replaced_sf_row():
+    row = combinat.sf_row(5)
+    with combinat.sf_table.override(5, row[:3] + (row[3] + 1,) + row[4:]):
+        assert run_suite(40, ["bt-harmonic"])[0].passed
+        report = run_check("fs-at-minus-one", 12)
+    assert (report.status, report.witness_n) == ("fail", 5)
+    assert run_check("fs-at-minus-one", 12).passed
+
+
 def _bump_third(row):
     return row[:2] + (row[2] + 1,) + row[3:]
 
@@ -923,6 +959,28 @@ def test_gregory_newton_cases_match_fraction_step_oracle():
     assert got == want
     for (_, lhs, _), (_, ref, _) in zip(got, want):
         assert [type(c) for c in lhs] == [type(c) for c in ref]
+
+
+def test_gregory_newton_differences_and_newton_sum_agree_on_pass_and_fail(monkeypatch):
+    # The check sums the Newton basis only where the differences of
+    # (0^n, ..., n^n) differ from SF row n; both routes must give the same
+    # verdict on the true rows and on rows with entries moved.
+    summed = []
+    newton = verify._gregory_newton_poly
+    monkeypatch.setattr(verify, "_gregory_newton_poly", lambda row: summed.append(row) or newton(row))
+    rng = random.Random(5)
+    for n in range(1, 61):
+        row = combinat.sf_row(n)
+        ks = {0, n, rng.randint(0, n)}
+        rows = [row] + [row[:k] + (row[k] + d,) + row[k + 1:] for k in ks for d in (1, -2)]
+        j, k = rng.sample(range(n + 1), 2)
+        rows.append(tuple(c + (j == i) - (k == i) for i, c in enumerate(row)))
+        for got in rows:
+            summed.clear()
+            with combinat.sf_table.override(n, got):
+                [(_, lhs, rhs)] = _cases("gregory-newton", range(n, n + 1))
+            assert bool(summed) == (newton(got) != Polynomial.monomial(1, n)) == (got != row)
+            assert (lhs == rhs) == (got == row)
 
 
 def _drv_fh_bn_cases_by_fraction_steps(ns):
