@@ -15,8 +15,7 @@ those rows to :func:`hfubini_direct`.  The connection
 polynomials lambda(n, nu) expand Fhat_n in the F-basis:
 ``Fhat_n = sum_nu lambda(n,nu) * F_nu``.  :func:`lambda_poly` serves them
 from their closed form over the SF triangle, so this module keeps no memo
-table of its own.  The ``verify`` check ``lambda-expansion`` holds them to
-their recurrence, each entry stepped from the served row before it.
+table; ``verify`` holds them to their recurrence.
 """
 from __future__ import annotations
 
@@ -109,8 +108,9 @@ def remainder_R(n: int) -> Polynomial:
 def power_sum_poly(n: int) -> Polynomial:
     """The degree-(n+1) polynomial with S_n(m) = sum_{v=0..m-1} v^n at
     integer points, realized as (B_{n+1}(x) - B_{n+1}) / (n+1)."""
-    n = index(n, 0)
-    return (bernoulli_poly(n + 1) - bernoulli(n + 1)) * Fraction(1, n + 1)
+    m = index(n, 0) + 1
+    b = bernoulli_poly(m).coefficients
+    return Polynomial([Fraction(b[0] - bernoulli(m), m)] + [Fraction(v.numerator, v.denominator * m) for v in b[1:]])
 
 
 def power_sum_gn(n: int, x: Rational) -> Fraction:

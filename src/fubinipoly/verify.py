@@ -15,6 +15,7 @@ import random
 import time
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .combinat import (_ordered_partition_count, _x_plus_one_times, bernoulli, harmonic, sf_row,
@@ -139,24 +140,26 @@ def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
         yield n, psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0)
 
 
-def _delta_plus(c: tuple, j: int) -> list:
-    """The coefficients of (delta + j x) f, for ``c`` those of f and
-    delta = (x^2+x) d/dx, the operator of the F recurrence: coefficient k
-    is k c_k + (k-1+j) c_(k-1)."""
-    return [k * v + (k - 1 + j) * v_below for k, (v, v_below) in enumerate(zip(c + (0,), (0,) + c))]
+def _delta_plus(c: tuple, j: int, u: tuple) -> list:
+    """The coefficients of (delta + j x) f + g, for ``c`` those of f, ``u``
+    those of g and delta = (x^2+x) d/dx, the operator of the F recurrence:
+    coefficient k is k c_k + (k-1+j) c_(k-1) + u_k."""
+    m = max(len(c) + 1, len(u))
+    c += (0,) * (m - len(c))
+    u += (0,) * (m - len(u))
+    return [k * v + (k - 1 + j) * w + a for k, v, w, a in zip(range(m), c, (0,) + c, u)]
 
 
-def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> Polynomial:
-    """lambda(n, nu) by the recurrence, from the coefficients ``c`` of
-    lambda(n-1, nu) and ``below`` of lambda(n-1, nu-1), each () for an entry
-    outside row n - 1."""
-    # lambda(n, nu) = delta lambda(n-1, nu) + lambda(n-1, nu-1) + x * [nu == n-1]
-    out = _delta_plus(c, 0)
-    out += [0] * (len(below) - len(out))
-    out[:len(below)] = map(operator.add, out, below)
+def _lambda_entry(n: int, nu: int, c: tuple, below: tuple) -> tuple:
+    """The trimmed coefficients of lambda(n, nu) = delta lambda(n-1, nu) +
+    lambda(n-1, nu-1) + x [nu == n-1], from those, ``c``, of lambda(n-1, nu)
+    and ``below`` of lambda(n-1, nu-1), each () outside row n - 1."""
+    out = _delta_plus(c, 0, below)
     if nu == n - 1:
         out[1] += 1
-    return Polynomial(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _served_lambda_row(n: int) -> tuple:
@@ -194,38 +197,33 @@ def _hfubini_row(n: int) -> Polynomial:
 
 
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
-    # Row n as lambda_poly serves it is first compared entry by entry with
-    # the recurrence: lambda(1, 1) = 1, and for n >= 2 each entry is stepped
-    # from served row n - 1 and compared as soon as it is made.  Row n - 1
-    # has matched already, so by induction the first served entry that
-    # differs is the first that differs from the recurrence rolled from
-    # lambda(1, 1); it is reported as (nu, served) against (nu, recurrence),
-    # and no later row can be stepped.  Once they match, the expansion is
+    # Row n as lambda_poly serves it is compared entry by entry with the
+    # recurrence stepped from served row n - 1, which has matched already: by
+    # induction, the first served entry that differs is the first that differs
+    # from the recurrence rolled from lambda(1, 1) = 1.  It is reported as
+    # (nu, served) against (nu, recurrence).  Once they match, the expansion is
     # proved by the Leibniz rule: F_(k+1) = (delta + x) F_k from F_0 = 1, so
-    # Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as
-    #   Q_1 = x,  Q_(m+1) = (delta + 2x) Q_m + F_(m+1),
-    # and with the closed form of lambda the expansion reads
-    #   Fhat_n = F_n - (n-1) F_(n-1) + (x+1) Q_(n-1)   (n >= 2),  Fhat_1 = F_1.
-    prev = _row(_served_lambda_row, ns.start - 1) if ns.start > 1 else ()
-    q, k = Polynomial.x(), 1                                # Q_k
+    # Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as Q_0 = 0,
+    # Q_(m+1) = (delta + 2x) Q_m + F_(m+1), and by the closed form of lambda
+    # Fhat_n = F_n - (n-1) F_(n-1) + (x+1) Q_(n-1).  Both run on int
+    # coefficients; a Polynomial is built only for a report.
+    served = _row(_served_lambda_row, ns.start - 1) if ns.start > 1 else ()
+    q, k = (), 0                                            # Q_k
     for n in ns:
         fhat = _row(_hfubini_row, n)
+        c = [()] + [lam.coefficients for lam in served] + [()]  # row n - 1, () outside it
         served = _row(_served_lambda_row, n)
         for nu, lam in enumerate(served, 1):
-            want = Polynomial.one() if n == 1 else _lambda_entry(
-                n, nu, prev[nu - 1].coefficients if nu < n else (),
-                prev[nu - 2].coefficients if nu >= 2 else ())
-            if lam != want:
-                yield n, (nu, lam), (nu, want)
+            want = (1,) if n == 1 else _lambda_entry(n, nu, c[nu], c[nu - 1])
+            if lam.coefficients != want:
+                yield n, (nu, lam), (nu, Polynomial(want))
                 return
-        prev = served
         while k < n - 1:
             k += 1
-            q = Polynomial(_delta_plus(q.coefficients, 2)) + fubini_direct(k)
-        expansion = fubini_direct(n)
-        if n >= 2:
-            expansion += Polynomial(_x_plus_one_times(q.coefficients)) - fubini_direct(n - 1) * (n - 1)
-        yield n, expansion, fhat
+            q = tuple(_delta_plus(q, 2, sf_row(k)))
+        got = [f + v + w - (n - 1) * g for f, v, w, g in
+               zip_longest(sf_row(n), q, (0,) + q, sf_row(n - 1), fillvalue=0)]
+        yield n, fhat if got == [*fhat.coefficients] else Polynomial(got), fhat
 
 
 def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
@@ -236,18 +234,15 @@ def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
 
 def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
     # The top two entries of a row of the recurrence read only the top two of
-    # the row before, so they are rolled forward alone from lambda(1, 1) = 1:
-    # lambda(n, n) = lambda(n-1, n-1) and
-    # lambda(n, n-1) = (x^2+x) lambda(n-1, n-1)' + lambda(n-1, n-2) + x.
-    top, sub, m = Polynomial.one(), Polynomial.zero(), 1    # lambda(m, m), lambda(m, m-1)
+    # the row before, so they are rolled forward alone from lambda(1, 1) = 1.
+    top, sub, m = (1,), (), 1                   # coefficients of lambda(m, m), lambda(m, m-1)
     for n in ns:
         while m < n:
             m += 1
-            top, sub = (_lambda_entry(m, m, (), top.coefficients),
-                        _lambda_entry(m, m - 1, top.coefficients, sub.coefficients))
-        cases = [(n, top, Polynomial.one())]
+            top, sub = _lambda_entry(m, m, (), top), _lambda_entry(m, m - 1, top, sub)
+        cases = [(n, Polynomial(top), Polynomial.one())]
         if n >= 2:
-            cases.append((n, sub, Polynomial.monomial(n - 1, 1)))
+            cases.append((n, Polynomial(sub), Polynomial.monomial(n - 1, 1)))
         yield from cases
 
 
@@ -384,15 +379,19 @@ def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
 
 
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
-    # power_sum_poly(n) is scaled to int coefficients over their common
-    # denominator once, and the scaled polynomial evaluated at every point;
-    # evaluating power_sum_poly(n) itself would scale it again at each one.
+    # power_sum_poly(n) is scaled once per n to int coefficients s over their
+    # common denominator den.  Its value A / (den q^(len(s)-1)) at x = p/q, with
+    # A = _fold(s, p, q) (s_0 at x = 0), is compared with power_sum_gn in ints.
     for n in ns:
         c = power_sum_poly(n).coefficients
         den = math.lcm(*(v.denominator for v in c))
-        scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
-        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
-        yield from [(n, Fraction(scaled(x), den), power_sum_gn(n, x)) for x in xs]
+        s = [v.numerator * (den // v.denominator) for v in c]
+        cases = []
+        for x in [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]:
+            p, q = x.numerator, x.denominator
+            r, a, b = power_sum_gn(n, x), _fold(s, p, q) if p else s[0], den * q ** (len(s) - 1)
+            cases.append((n, r if a * r.denominator == r.numerator * b else Fraction(a, b), r))
+        yield from cases
 
 
 _BT_CASES = 100

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fubinipoly import combinat, verify
-from fubinipoly.combinat import bernoulli_akiyama_tanigawa, binomial_rat, harmonic, sf, sf_row
+from fubinipoly import combinat, fubini, verify
+from fubinipoly.combinat import bernoulli, bernoulli_akiyama_tanigawa, binomial_rat, harmonic, sf, sf_row
 from fubinipoly.exactpoly import Polynomial
 from fubinipoly.fubini import (
     fubini_direct,
@@ -141,17 +141,26 @@ def test_lambda_rows_match_polynomial_step_oracle():
     # The integer recurrence, stepped entry by entry from lambda(1, 1) = 1,
     # agrees with the polynomial steps and with the rows lambda_poly serves in
     # closed form.
-    got = want = (Polynomial.one(),)
+    got, want = ((1,),), (Polynomial.one(),)
     for n in range(2, 61):
         want = _lambda_row_by_polynomial_steps(want, n)
-        got = tuple(verify._lambda_entry(n, nu, got[nu - 1].coefficients if nu < n else (),
-                                         got[nu - 2].coefficients if nu >= 2 else ())
+        got = tuple(verify._lambda_entry(n, nu, got[nu - 1] if nu < n else (), got[nu - 2] if nu >= 2 else ())
                     for nu in range(1, n + 1))
-        assert got == want, n
+        assert got == tuple(lam.coefficients for lam in want), n
         assert all(type(c) is int for lam in got for c in lam), n
         served = tuple(lambda_poly(n, nu) for nu in range(1, n + 1))
-        assert served == got, n
+        assert served == want, n
         assert all(type(c) is int for lam in served for c in lam), n
+
+
+def test_lambda_entry_trims_a_top_coefficient_that_cancels():
+    # Stepped from the row (-x^2, x, 0): lambda(4, 2) = (x^2+x) * 1 - x^2 = x,
+    # its x^2 terms cancelling, and lambda(4, 4) = 0 steps from the zero entry.
+    prev = (Polynomial([0, 0, -1]), Polynomial.x(), Polynomial.zero())
+    c = [()] + [lam.coefficients for lam in prev] + [()]
+    got = tuple(verify._lambda_entry(4, nu, c[nu], c[nu - 1]) for nu in range(1, 5))
+    assert got == tuple(lam.coefficients for lam in _lambda_row_by_polynomial_steps(prev, 4))
+    assert (got[1], got[3]) == ((0, 1), ())
 
 
 def test_lambda_closed_form():
@@ -299,6 +308,19 @@ def test_power_sum_poly_shape():
         p = power_sum_poly(n)
         assert p.degree == n + 1
         assert p.coefficient(0) == 0
+
+
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_power_sum_poly_is_the_shifted_bernoulli_polynomial_over_n_plus_one(monkeypatch, corrupted):
+    # The reference for one Fraction per coefficient: the polynomial
+    # difference scaled by 1/(n+1).  B_5(x) with its constant raised by 1
+    # gives power_sum_poly(4) the constant term 1/5.
+    if corrupted:
+        served = fubini.bernoulli_poly
+        monkeypatch.setattr(fubini, "bernoulli_poly", lambda m: served(m) + 1 if m == 5 else served(m))
+    for n in range(0, 61):
+        assert power_sum_poly(n) == (fubini.bernoulli_poly(n + 1) - bernoulli(n + 1)) * Fraction(1, n + 1), n
+    assert power_sum_poly(4).coefficient(0) == (Fraction(1, 5) if corrupted else 0)
 
 
 def test_power_sum_poly_against_brute_force():

@@ -445,15 +445,15 @@ class _OracleLambdaRows:
     def __getitem__(self, n):
         row = (Polynomial.one(),)
         for m in range(2, n + 1):
-            row = tuple(verify._lambda_entry(m, nu, row[nu - 1].coefficients if nu < m else (),
-                                              row[nu - 2].coefficients if nu >= 2 else ())
+            row = tuple(Polynomial(verify._lambda_entry(m, nu, row[nu - 1].coefficients if nu < m else (),
+                                                         row[nu - 2].coefficients if nu >= 2 else ()))
                         for nu in range(1, m + 1))
         return row
 
     def override(self, n, row):
         entry = verify._lambda_entry
         return _patched(verify, "_lambda_entry",
-                        lambda m, nu, c, below: row[nu - 1] if m == n else entry(m, nu, c, below))
+                        lambda m, nu, c, below: row[nu - 1].coefficients if m == n else entry(m, nu, c, below))
 
 
 class _ServedBernoulliPolys:
@@ -1065,3 +1065,59 @@ def test_power_sum_agree_cases_are_the_unscaled_values():
     with _SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1):
         ns = range(1, 9)
         assert _cases("power-sum-agree", ns) == list(unscaled(ns))
+
+
+def _power_sum_agree_cases_by_scaled_fractions(ns, rng):
+    # The reference for the integer cross-multiplication: the scaled
+    # polynomial evaluated at each point and divided by den as a Fraction.
+    for n in ns:
+        c = fubini.power_sum_poly(n).coefficients
+        den = math.lcm(*(v.denominator for v in c))
+        scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
+        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
+        yield from [(n, Fraction(scaled(x), den), fubini.power_sum_gn(n, x)) for x in xs]
+
+
+class _EveryThirdNumeratorZero(random.Random):
+    """A seeded generator whose every third draw from -40..40 is 0, so that
+    power-sum-agree meets the point x = 0; ``zeros`` counts the draws of 0."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.numerators = self.zeros = 0
+
+    def randint(self, a, b):
+        value = super().randint(a, b)
+        if (a, b) == (-40, 40):
+            self.numerators += 1
+            value = 0 if self.numerators % 3 == 0 else value
+            self.zeros += value == 0
+        return value
+
+
+@pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
+@pytest.mark.parametrize("corrupted", [False, True], ids=["true", "B(x)"])
+def test_power_sum_agree_cases_match_the_scaled_fraction_oracle(make_rng, corrupted):
+    # The same verdict at every point, and every failing pair the same, as
+    # Fraction(scaled(x), den) != power_sum_gn(n, x); x = 0 is not folded.
+    ns = range(1, 41)
+    fold, folded = verify._fold, []
+
+    def recording_fold(c, p, q):
+        folded.append(p)
+        return fold(c, p, q)
+
+    corruption = (_SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1) if corrupted
+                  else nullcontext())
+    rng = make_rng(0)
+    with corruption, _patched(verify, "_fold", recording_fold), _a_pass():
+        got = list(CHECKS["power-sum-agree"].cases(ns, rng))
+        want = list(_power_sum_agree_cases_by_scaled_fractions(ns, make_rng(0)))
+    assert [lhs != rhs for _, lhs, rhs in got] == [lhs != rhs for _, lhs, rhs in want]
+    failing = [case for case in got if case[1] != case[2]]
+    assert failing == [case for case in want if case[1] != case[2]]
+    assert bool(failing) == corrupted
+    assert 0 not in folded
+    if make_rng is _EveryThirdNumeratorZero:
+        assert rng.zeros >= 20 * len(ns) // 3
+        assert len(folded) == 20 * len(ns) - rng.zeros
