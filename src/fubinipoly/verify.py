@@ -8,7 +8,6 @@ Randomized checks draw from a seeded generator and record the seed.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import random
@@ -28,14 +27,12 @@ DEFAULT_SEED = 0
 
 _MINUS_HALF = Fraction(-1, 2)
 
-# (index, lhs, rhs): index is the witness n (or case number for randomized
-# checks); lhs/rhs are exact comparables.  A generator yields cases for the
-# indices of its check's declared range in ascending order, so the first
-# failing case is the one with the smallest index.  A generator with several
-# cases at one index computes all of them before it yields the first, so that
-# _Scan can name the index whose case raised.
-Case = Tuple[int, object, object]
-CaseGen = Callable[[range, random.Random], Iterator[Case]]
+# A generator yields one list per index of its check's declared range, in
+# ascending order: the (lhs, rhs) pairs of that index (the witness n, or the
+# case number for randomized checks), lhs and rhs exact comparables.  So the
+# first failing pair is one at the smallest failing index.
+Cases = List[Tuple[object, object]]
+CaseGen = Callable[[range, random.Random], Iterator[Cases]]
 
 
 class IdentityCheck(NamedTuple):
@@ -73,17 +70,16 @@ _pass_rows: ContextVar[Dict[Callable, Dict[int, object]]] = ContextVar("fubinipo
 
 
 def _row(build: Callable[[int], object], n: int):
-    """build(n), built once and kept while it is among the
-    PASS_ROWS_PER_KIND highest rows of its kind that the running pass has
-    built.  A build may read row n - 1 of its own kind (through
-    :func:`_row_before`), so a row is dropped only once the new one is
+    """build(n), built once and kept until the running pass builds another
+    row of its kind: every check of a pass reads the rows of the index the
+    pass has reached.  A build may read row n - 1 of its own kind (through
+    :func:`_row_before`), so the old row is dropped only once the new one is
     built.  The store lives only as long as its pass, so a memo-table
     override made between passes always reaches the rows."""
     rows = _pass_rows.get().setdefault(build, {})
     if n not in rows:
         row = build(n)
-        if len(rows) == PASS_ROWS_PER_KIND:
-            del rows[min(rows)]
+        rows.clear()
         rows[n] = row
     return rows[n]
 
@@ -102,42 +98,42 @@ def _row_before(build: Callable[[int], object], n: int):
 # --- check bodies ----------------------------------------------------------
 
 
-def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, fubini_direct(n)(-1), (-1) ** n
+        yield [(fubini_direct(n)(-1), (-1) ** n)]
 
 
-def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, _row(_hfubini_row, n)(-1), Fraction((-1) ** n * n)
+        yield [(_row(_hfubini_row, n)(-1), Fraction((-1) ** n * n))]
 
 
-def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, fubini_direct(n).definite_integral(-1, 0), bernoulli(n)
+        yield [(fubini_direct(n).definite_integral(-1, 0), bernoulli(n))]
 
 
-def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         rhs = Fraction(-2) * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)
-        yield n, fubini_direct(n)(_MINUS_HALF), rhs
+        yield [(fubini_direct(n)(_MINUS_HALF), rhs)]
 
 
-def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         rhs = -Fraction(n, 2) * bernoulli(n - 1)
-        yield n, _row(_hfubini_row, n).definite_integral(-1, 0), rhs
+        yield [(_row(_hfubini_row, n).definite_integral(-1, 0), rhs)]
 
 
-def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         rhs = -Fraction(n - 1, 2) * fubini_direct(n - 1)(_MINUS_HALF)
-        yield n, _row(_hfubini_row, n)(_MINUS_HALF), rhs
+        yield [(_row(_hfubini_row, n)(_MINUS_HALF), rhs)]
 
 
-def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0)
+        yield [(psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0))]
 
 
 def _delta_plus(c: tuple, j: int, u: tuple) -> list:
@@ -196,7 +192,7 @@ def _hfubini_row(n: int) -> Polynomial:
     return _hfubini_step(prev, n, _row(_harmonic_steps, n))
 
 
-def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Cases]:
     # Row n as lambda_poly serves it is compared entry by entry with the
     # recurrence stepped from served row n - 1, which has matched already: by
     # induction, the first served entry that differs is the first that differs
@@ -216,23 +212,23 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Case]:
         for nu, lam in enumerate(served, 1):
             want = (1,) if n == 1 else _lambda_entry(n, nu, c[nu], c[nu - 1])
             if lam.coefficients != want:
-                yield n, (nu, lam), (nu, Polynomial(want))
+                yield [((nu, lam), (nu, Polynomial(want)))]
                 return
         while k < n - 1:
             k += 1
             q = tuple(_delta_plus(q, 2, sf_row(k)))
         got = [f + v + w - (n - 1) * g for f, v, w, g in
                zip_longest(sf_row(n), q, (0,) + q, sf_row(n - 1), fillvalue=0)]
-        yield n, fhat if got == [*fhat.coefficients] else Polynomial(got), fhat
+        yield [(fhat if got == [*fhat.coefficients] else Polynomial(got), fhat)]
 
 
-def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_lambda_degree_P(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield from [(n, (v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True))
-                    for v, lam in enumerate(_row(_served_lambda_row, n), 1)]
+        yield [((v, lam.degree, lam.has_nonneg_int_coeffs()), (v, n - v, True))
+               for v, lam in enumerate(_row(_served_lambda_row, n), 1)]
 
 
-def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Cases]:
     # The top two entries of a row of the recurrence read only the top two of
     # the row before, so they are rolled forward alone from lambda(1, 1) = 1.
     top, sub, m = (1,), (), 1                   # coefficients of lambda(m, m), lambda(m, m-1)
@@ -240,13 +236,13 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Case]:
         while m < n:
             m += 1
             top, sub = _lambda_entry(m, m, (), top), _lambda_entry(m, m - 1, top, sub)
-        cases = [(n, Polynomial(top), Polynomial.one())]
+        cases = [(Polynomial(top), Polynomial.one())]
         if n >= 2:
-            cases.append((n, Polynomial(sub), Polynomial.monomial(n - 1, 1)))
-        yield from cases
+            cases.append((Polynomial(sub), Polynomial.monomial(n - 1, 1)))
+        yield cases
 
 
-def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Cases]:
     # lambda(n, nu) = C(n-1, nu-1) P_a for nu <= n-2, with P_a = (x+1) F_a and
     # a = n-1-nu.  A positive integer multiple of a member of the class is a
     # member: the factor keeps each coefficient a nonnegative integer and
@@ -265,8 +261,8 @@ def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Case]:
             k = math.comb(n - 1, v - 1)
             member = ((proven[a] and list(lam.coefficients) == _x_plus_one_times(f, k))
                       or lam.in_reflection_class(_MINUS_HALF))
-            cases.append((n, (v, member), (v, True)))
-        yield from cases
+            cases.append(((v, member), (v, True)))
+        yield cases
 
 
 _CLOSURE_CASES = 200
@@ -286,22 +282,22 @@ def _random_reflection_member(rng: random.Random, m: int) -> Polynomial:
     return f
 
 
-def _cases_semiring_closure(ns: range, rng: random.Random) -> Iterator[Case]:
-    for case in ns:
+def _cases_semiring_closure(ns: range, rng: random.Random) -> Iterator[Cases]:
+    for _ in ns:
         m = rng.randint(0, 4)
         alpha = Fraction(-m, 2)
         f = _random_reflection_member(rng, m)
         g = _random_reflection_member(rng, m)
-        cases = [(case, ("product", (f * g).in_reflection_class(alpha)), ("product", True))]
+        cases = [(("product", (f * g).in_reflection_class(alpha)), ("product", True))]
         if (f.degree is not None and g.degree is not None
                 and (f.degree - g.degree) % 2 == 0):
-            cases.append((case, ("sum", (f + g).in_reflection_class(alpha)), ("sum", True)))
-        cases.append((case, ("derivative", f.derivative().in_reflection_class(alpha)),
+            cases.append((("sum", (f + g).in_reflection_class(alpha)), ("sum", True)))
+        cases.append((("derivative", f.derivative().in_reflection_class(alpha)),
                       ("derivative", True)))
         if f.degree is not None and f.degree % 2 == 1:
-            cases.append((case, ("odd degree value at axis", f(alpha)),
+            cases.append((("odd degree value at axis", f(alpha)),
                           ("odd degree value at axis", Fraction(0))))
-        yield from cases
+        yield cases
 
 
 # lambda(n, nu) for n = 1..4, nu = 1..n, coefficients constant term first.
@@ -313,13 +309,13 @@ _GOLDEN_LAMBDA_ROWS = {
 }
 
 
-def _cases_table_fh_fs(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_table_fh_fs(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         expected = tuple(Polynomial(c) for c in _GOLDEN_LAMBDA_ROWS[n])
-        yield n, _row(_served_lambda_row, n), expected
+        yield [(_row(_served_lambda_row, n), expected)]
 
 
-def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Cases]:
     # remainder_R(n)(-1/2), summed term by term: evaluation at -1/2 is a ring
     # homomorphism, so the value is the same without building the polynomial.
     # A polynomial with coefficients c takes the value A / 2^(len(c) - 1) at
@@ -333,14 +329,14 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Case]:
         terms = [(a * _fold(lam.coefficients, -1, 2), e + len(lam.coefficients) - 1)
                  for (a, e), lam in zip(f_at, _row(_served_lambda_row, n)[:n - 2]) if a]
         top = max((e for _, e in terms), default=0)
-        yield n, Fraction(sum(t << (top - e) for t, e in terms), 1 << top), Fraction(0)
+        yield [(Fraction(sum(t << (top - e) for t, e in terms), 1 << top), Fraction(0))]
 
 
-def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         fhat = _row(_hfubini_row, n)
         total = worpitzky_sum(fhat.coefficients[1:])
-        yield n, total, -Fraction(n, 2) * bernoulli(n - 1)
+        yield [(total, -Fraction(n, 2) * bernoulli(n - 1))]
 
 
 def _gregory_newton_poly(row: tuple) -> Polynomial:
@@ -360,7 +356,7 @@ def _gregory_newton_poly(row: tuple) -> Polynomial:
     return Polynomial([Fraction(a, den) for a in acc])
 
 
-def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Cases]:
     # By Newton's forward-difference formula the polynomial of degree <= n
     # through (m, m^n), m = 0..n, is sum_k Delta^k 0^n C(x,k), and it is x^n.
     # So the identity holds as polynomials exactly when Delta^k 0^n = SF(n,k)
@@ -375,10 +371,10 @@ def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Case]:
         while values:
             diffs.append(values[0])
             values = list(map(operator.sub, values[1:], values))
-        yield n, want if tuple(diffs) == row else _gregory_newton_poly(row), want
+        yield [(want if tuple(diffs) == row else _gregory_newton_poly(row), want)]
 
 
-def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Cases]:
     # power_sum_poly(n) is scaled once per n to int coefficients s over their
     # common denominator den.  Its value A / (den q^(len(s)-1)) at x = p/q, with
     # A = _fold(s, p, q) (s_0 at x = 0), is compared with power_sum_gn in ints.
@@ -390,8 +386,8 @@ def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Case]:
         for x in [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]:
             p, q = x.numerator, x.denominator
             r, a, b = power_sum_gn(n, x), _fold(s, p, q) if p else s[0], den * q ** (len(s) - 1)
-            cases.append((n, r if a * r.denominator == r.numerator * b else Fraction(a, b), r))
-        yield from cases
+            cases.append((r if a * r.denominator == r.numerator * b else Fraction(a, b), r))
+        yield cases
 
 
 _BT_CASES = 100
@@ -401,17 +397,17 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
 
 
-def _cases_bt_involution(ns: range, rng: random.Random) -> Iterator[Case]:
-    for case in ns:
+def _cases_bt_involution(ns: range, rng: random.Random) -> Iterator[Cases]:
+    for _ in ns:
         seq = tuple(_random_rational(rng) for _ in range(rng.randint(1, 32)))
-        yield case, binomial_transform(binomial_transform(seq)), seq
+        yield [(binomial_transform(binomial_transform(seq)), seq)]
 
 
-def _cases_bt_harmonic(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_bt_harmonic(ns: range, rng: random.Random) -> Iterator[Cases]:
     seq = (Fraction(0),) + tuple(harmonic(k) for k in range(1, ns.stop))
     transformed = binomial_transform(seq)
     for n in ns:
-        yield n, transformed[n], Fraction(-1, n)
+        yield [(transformed[n], Fraction(-1, n))]
 
 
 _EULER_CASES = 100
@@ -423,21 +419,21 @@ def _random_poly(rng: random.Random, max_degree: int) -> Polynomial:
                        for _ in range(length)])
 
 
-def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Case]:
-    for case in ns:
+def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Cases]:
+    for _ in ns:
         f = _random_poly(rng, 12)
         g = _random_poly(rng, 12)
-        yield case, euler_hadamard(f, g), hadamard(f, g)
+        yield [(euler_hadamard(f, g), hadamard(f, g))]
 
 
-def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, hfubini_via_derivatives(n), _row(_hfubini_row, n)
+        yield [(hfubini_via_derivatives(n), _row(_hfubini_row, n))]
 
 
-def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Case]:
+def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield n, fubini_direct(n)(1), _ordered_partition_count(n)
+        yield [(fubini_direct(n)(1), _ordered_partition_count(n))]
 
 
 # --- registry ---------------------------------------------------------------
@@ -497,56 +493,35 @@ _ALL_CHECKS: Sequence[IdentityCheck] = (
 CHECKS = {check.check_id: check for check in _ALL_CHECKS}
 CHECK_IDS = tuple(check.check_id for check in _ALL_CHECKS)
 
-# A pass advances its checks together, index by index (see _run_pass).  At
-# index n, a check pulling its next case reads the row of n + its step, and
-# a check that reads a row again keeps it itself (one with several cases at
-# one index, and lambda-expansion, which steps row n + 1 from served row n);
-# so as many rows of each kind as the largest step serve every read of a
-# pass, and each row is built once.  The highest row built is always kept,
-# so Fhat_n and (D_1, ..., D_n), each stepped from row n - 1, find their
-# row there.
-PASS_ROWS_PER_KIND = max(check.indices(1).step for check in _ALL_CHECKS)
-
 
 class _Scan:
-    """One check's cases within a pass, as the stream of their indices.
-    Iterating pulls each case, compares it and yields its index; on a
-    failing case it keeps the case as the witness and stops.  A case that
-    raises an ``Exception`` fails the check the same way, so the other
-    checks of the pass still report: lhs is the exception's type and
-    message, and the witness is the first index of the range after the
-    last one that yielded a case (the range's first index if none did; the
-    last index if none is left).  Every generator computes all the cases
-    of an index before it yields the first, so that is the index whose
-    case raised.  A consequence: where one case of an index mismatches and
-    a later case of the same index raises, the report shows the exception,
-    at the same witness.  Time spent pulling and comparing its cases is
-    charged to it."""
+    """One check's cases within a pass.  :meth:`pull` takes the list of the
+    check's next index and compares its pairs in order; a failing pair is
+    kept with its index as the witness, and the scan is done.  A pull that
+    raises an ``Exception`` fails the check the same way, at the index
+    being pulled, so the other checks of the pass still report: lhs is the
+    exception's type and message.  Time spent pulling and comparing is
+    charged to the check."""
 
     def __init__(self, check: IdentityCheck, max_n: int, seed: int):
         self.check = check
         self.seed = seed
         self.ns = check.indices(max_n)
+        self.lists = check.cases(self.ns, random.Random(seed))
         self.count = 0
-        self.witness: Optional[Case] = None
+        self.witness: Optional[Tuple[int, object, object]] = None
         self.seconds = 0.0
 
-    def __iter__(self) -> Iterator[int]:
+    def pull(self, n: int) -> None:
         start = time.perf_counter()
-        last = None
         try:
-            for case in self.check.cases(self.ns, random.Random(self.seed)):
+            for lhs, rhs in next(self.lists, ()):
                 self.count += 1
-                if case[1] != case[2]:
-                    self.witness = case
+                if lhs != rhs:
+                    self.witness = n, lhs, rhs
                     break
-                last = case[0]
-                self.seconds += time.perf_counter() - start
-                yield last
-                start = time.perf_counter()
         except Exception as exc:
-            pulled = next((n for n in self.ns if last is None or n > last), last)
-            self.witness = (pulled, f"{type(exc).__name__}: {exc}", "no exception")
+            self.witness = n, f"{type(exc).__name__}: {exc}", "no exception"
         self.seconds += time.perf_counter() - start
 
     def report(self) -> IdentityReport:
@@ -561,24 +536,25 @@ class _Scan:
 
 
 def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]:
-    """Run the checks named by ``ids`` as one pass over the index: their
-    case streams are merged by index, ties in selection order, so every
-    check with cases at an index evaluates them all before the pass moves
+    """Run the checks named by ``ids`` as one pass over the index.  At each
+    n, every check whose range holds n and that has not failed pulls and
+    compares that index's cases, in selection order, before the pass moves
     on.  The rows the checks share (:func:`_row`) are built once for the
     pass and dropped with it.  A pass that serves no lambda row reads no SF
-    row more than one below the index it has reached, so as it reaches
-    index n it releases the SF rows below n - 1; served lambda rows read
+    row more than one below the index it has reached, so after the pulls
+    at index n it releases the SF rows below n - 1; served lambda rows read
     every SF row, so a pass that serves them releases none.  A row read
     after all is rebuilt, so the rule costs time if wrong, never a result."""
     rows: Dict[Callable, Dict[int, object]] = {}
     token = _pass_rows.set(rows)
     try:
         scans = [_Scan(CHECKS[check_id], max_n, seed) for check_id in ids]
-        below = 0
-        for n in heapq.merge(*scans):
-            if n - 1 > below and _served_lambda_row not in rows:
-                below = n - 1
-                sf_table.release(below)
+        for n in range(min(scan.ns.start for scan in scans), max(scan.ns.stop for scan in scans)):
+            for scan in scans:
+                if n in scan.ns and scan.witness is None:
+                    scan.pull(n)
+            if _served_lambda_row not in rows:
+                sf_table.release(n - 1)
     finally:
         _pass_rows.reset(token)
     return [scan.report() for scan in scans]
@@ -587,8 +563,8 @@ def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]
 def run_check(check_id: str, max_n: int, *, seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate one registered identity exactly for every index of its
     declared range at max_n, reported as n_min..n_max.  Stops at the first
-    failure; generators yield their indices in ascending order, so the
-    witness is the smallest failing index.  A check that evaluates no case
+    failure; generators yield their indices' cases in ascending order, so
+    the witness is the smallest failing index.  A check that evaluates no case
     reports "empty", which does not count as a pass."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id!r}")

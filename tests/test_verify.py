@@ -17,7 +17,6 @@ from fubinipoly.exactpoly import Polynomial
 from fubinipoly.verify import (
     CHECK_IDS,
     CHECKS,
-    PASS_ROWS_PER_KIND,
     IdentityCheck,
     IdentityReport,
     run_check,
@@ -36,10 +35,15 @@ def _a_pass():
         verify._pass_rows.reset(token)
 
 
+def _flat(ns, lists):
+    """The per-index lists of a case generator over ``ns`` as (n, lhs, rhs)."""
+    return [(n, lhs, rhs) for n, pairs in zip(ns, lists) for lhs, rhs in pairs]
+
+
 def _cases(check_id, ns):
     """The cases of a check over ``ns``, pulled in a pass of their own."""
     with _a_pass():
-        return list(CHECKS[check_id].cases(ns, random.Random(0)))
+        return _flat(ns, CHECKS[check_id].cases(ns, random.Random(0)))
 
 
 def test_registry_ids_are_unique_and_stable():
@@ -81,10 +85,14 @@ def test_bounded_checks_clamp_their_range():
 
 def test_every_check_yields_indices_in_ascending_order():
     # run_check stops at the first failing case; that is the smallest
-    # failing index only because every generator scans in ascending order.
+    # failing index only because every generator yields one list of
+    # (lhs, rhs) pairs per index of its range, in ascending order.
     for check in CHECKS.values():
-        indices = [case[0] for case in _cases(check.check_id, check.indices(12))]
-        assert indices == sorted(indices), check.check_id
+        ns = check.indices(12)
+        with _a_pass():
+            lists = list(check.cases(ns, random.Random(0)))
+        assert len(lists) == len(ns), check.check_id
+        assert all(len(pair) == 2 for pairs in lists for pair in pairs), check.check_id
 
 
 def test_empty_selection_rejected():
@@ -237,9 +245,9 @@ def test_an_override_between_passes_reaches_the_shared_rows():
     assert all(r.passed for r in run_suite(12, _ROW_READERS))
 
 
-# Fhat_n and (D_1, ..., D_n) are stepped from row n - 1, so a pass that asks
-# for a row two ahead (thm-main-central) before one that steps by 1
-# (fh-at-minus-one) must still step each row once.
+# Fhat_n and (D_1, ..., D_n) are stepped from row n - 1, so a pass in which
+# a check that steps by 2 (thm-main-central) comes before one that steps by 1
+# (fh-at-minus-one) must still step each row once, holding one row per kind.
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
     built = {"_hfubini_row": [], "_served_lambda_row": [], "_hfubini_step": [], "_harmonic_steps": []}
     direct = []
@@ -275,7 +283,7 @@ def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
         assert all(r.passed for r in run_suite(60, selection))
         assert {name: sorted(ns) for name, ns in built.items()} == {
             name: list(range(1, 61)) if name in kinds else [] for name in built}, selection
-        assert max(max(s, default=0) for s in sizes) == PASS_ROWS_PER_KIND
+        assert max(max(s, default=0) for s in sizes) == 1
     assert direct == []
 
 
@@ -308,28 +316,53 @@ def test_a_fresh_pass_steps_a_high_row_bottom_up_without_recursion():
 
 
 def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
-    # Each check pulls its first case in selection order; then, at the
-    # smallest index left, each check with cases there evaluates them and
-    # pulls its next one.  This order decides which pass rows are built when
-    # (and so PASS_ROWS_PER_KIND).
+    # At each index, in selection order, each check whose range holds it
+    # pulls that index's cases; no check pulls ahead of the pass.  This order
+    # decides which pass rows are built when, and so that one row per kind
+    # is enough.
     pulls = []
 
     def logged(check):
         def cases(ns, rng):
-            for case in check.cases(ns, rng):
-                pulls.append((check.check_id, case[0]))
-                yield case
+            for n, pairs in zip(ns, check.cases(ns, rng)):
+                pulls.append((check.check_id, n))
+                yield pairs
         return check._replace(cases=cases)
 
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, logged(check))
     assert all(r.passed for r in run_suite(6, ["thm-main-central", "fs-at-minus-one", "cor-psi-odd"]))
     assert pulls == [
-        ("thm-main-central", 2), ("fs-at-minus-one", 1), ("cor-psi-odd", 1),
-        ("fs-at-minus-one", 2), ("cor-psi-odd", 3), ("thm-main-central", 4),
-        ("fs-at-minus-one", 3), ("fs-at-minus-one", 4), ("cor-psi-odd", 5),
-        ("thm-main-central", 6), ("fs-at-minus-one", 5), ("fs-at-minus-one", 6),
+        ("fs-at-minus-one", 1), ("cor-psi-odd", 1), ("thm-main-central", 2),
+        ("fs-at-minus-one", 2), ("fs-at-minus-one", 3), ("cor-psi-odd", 3),
+        ("thm-main-central", 4), ("fs-at-minus-one", 4), ("fs-at-minus-one", 5),
+        ("cor-psi-odd", 5), ("thm-main-central", 6), ("fs-at-minus-one", 6),
     ]
+
+
+def test_a_shared_row_is_built_by_its_first_reader_at_its_index(monkeypatch):
+    # remainder-vanishes comes later in the selection, so every served
+    # lambda row is built while lambda-expansion pulls the cases of its
+    # index, and is charged to it.
+    built, pulling = [], []
+    served = verify._served_lambda_row
+
+    def pulled_by(check):
+        def cases(ns, rng):
+            lists = check.cases(ns, rng)
+            while True:
+                pulling[:] = [check.check_id]
+                pairs = next(lists, None)
+                if pairs is None:
+                    return
+                yield pairs
+        return check._replace(cases=cases)
+
+    monkeypatch.setattr(verify, "_served_lambda_row", lambda n: built.append((n, *pulling)) or served(n))
+    for check_id in ("lambda-expansion", "remainder-vanishes"):
+        monkeypatch.setitem(CHECKS, check_id, pulled_by(CHECKS[check_id]))
+    assert all(r.passed for r in run_suite(12, ["lambda-expansion", "remainder-vanishes"]))
+    assert built == [(n, "lambda-expansion") for n in range(1, 13)]
 
 
 # --- fault injection: the suite must notice a single corrupted table entry ----
@@ -714,8 +747,7 @@ def test_every_sf_h_and_b_entry_up_to_6_is_caught_by_some_check(table, index, co
 
 
 # A case that raises fails its own check, and the other checks of the pass
-# still report.  The witness is the index after the last one that yielded a
-# case, which is the index whose case raised.
+# still report.  The witness is the index being pulled.
 def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
     # A transform that drops its last entry makes bt-harmonic read past the
     # end at n = 12; bt-involution fails on the shorter round trip.
@@ -731,9 +763,9 @@ def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
         == ("fail", 12, "IndexError: tuple index out of range", "no exception")
 
 
-# A check with several cases at one index computes all of them before it
-# yields the first, so a case that raises among them is reported at its own
-# index, not at the next one.  Each mutant is made afresh for each run.
+# A check with several cases at one index yields them as one list, so a case
+# that raises among them is reported at its own index, not at the next one.
+# Each mutant is made afresh for each run.
 def _power_sum_gn_raising_on_its_third_call_at_5():
     served, calls = verify.power_sum_gn, []
 
@@ -771,6 +803,20 @@ def test_a_case_that_raises_among_several_at_one_index_is_reported_at_that_index
     assert (report.status, report.witness_n, report.lhs, report.rhs) \
         == ("fail", witness, lhs, "no exception")
     assert in_pass._replace(elapsed_ms=0) == report._replace(elapsed_ms=0)
+
+
+def test_a_check_whose_setup_raises_fails_at_its_first_index_and_the_pass_goes_on():
+    # bt-harmonic transforms its whole sequence before its first list, and
+    # bt-involution transforms at its first case; every other check passes.
+    def refusing(seq):
+        raise ArithmeticError("no transform")
+
+    with _patched(verify, "binomial_transform", refusing):
+        reports = run_suite(12, "all")
+    failed = {r.check_id: (r.status, r.witness_n, r.lhs, r.rhs) for r in reports if not r.passed}
+    assert failed == {check_id: ("fail", 1, "ArithmeticError: no transform", "no exception")
+                      for check_id in ("bt-involution", "bt-harmonic")}
+    assert len(reports) == len(CHECK_IDS)
 
 
 def test_a_value_error_inside_a_check_is_its_failure_not_a_usage_error(capsys):
@@ -1111,7 +1157,7 @@ def test_power_sum_agree_cases_match_the_scaled_fraction_oracle(make_rng, corrup
                   else nullcontext())
     rng = make_rng(0)
     with corruption, _patched(verify, "_fold", recording_fold), _a_pass():
-        got = list(CHECKS["power-sum-agree"].cases(ns, rng))
+        got = _flat(ns, CHECKS["power-sum-agree"].cases(ns, rng))
         want = list(_power_sum_agree_cases_by_scaled_fractions(ns, make_rng(0)))
     assert [lhs != rhs for _, lhs, rhs in got] == [lhs != rhs for _, lhs, rhs in want]
     failing = [case for case in got if case[1] != case[2]]
