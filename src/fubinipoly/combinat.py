@@ -235,6 +235,13 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
 def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x) = sum_{k=0..n} C(n,k) B_(n-k) x^k, built
     afresh on each call from the memoized Bernoulli numbers.  It satisfies
-    B_0(x) = 1, B_n'(x) = n B_(n-1)(x) and B_n(0) = B_n."""
+    B_0(x) = 1, B_n'(x) = n B_(n-1)(x) and B_n(0) = B_n.  Each coefficient
+    is one Fraction(C(n,k) num, den) of B_(n-k) = num/den, reduced by one
+    gcd, or an int where den is 1."""
     n = index(n, 0)
-    return Polynomial([math.comb(n, k) * bernoulli_table[n - k] for k in range(n + 1)])
+    coeffs = []
+    for k in range(n + 1):
+        b = bernoulli_table[n - k]
+        c = math.comb(n, k) * b.numerator
+        coeffs.append(c if b.denominator == 1 else Fraction(c, b.denominator))
+    return Polynomial(coeffs)

@@ -339,12 +339,12 @@ def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Cases]:
         yield [(total, -Fraction(n, 2) * bernoulli(n - 1))]
 
 
-def _gregory_newton_poly(row: tuple) -> Polynomial:
-    """sum_k SF(n,k) C(x,k) for ``row`` = SF row n.  C(x,k) = (x)_k / k!
-    with the integer falling factorial (x)_k = x(x-1)...(x-k+1), so n! times
-    the sum is the integer polynomial sum_k SF(n,k) (n!/k!) (x)_k.  It is
-    summed by Horner's scheme in the Newton basis, (x)_(k+1) = (x)_k (x - k),
-    and each coefficient is divided by n! once at the end."""
+def _newton_sum(row: tuple) -> list:
+    """n! sum_k row[k] C(x,k), n = len(row) - 1, as int coefficients.
+    C(x,k) = (x)_k / k! with the integer falling factorial (x)_k =
+    x(x-1)...(x-k+1), so the scaled sum is sum_k row[k] (n!/k!) (x)_k.  It is
+    summed by Horner's scheme in the Newton basis, (x)_(k+1) = (x)_k (x - k):
+    each step multiplies by small ints and adds one row[k] (n!/k!)."""
     n = len(row) - 1
     acc = [row[n]]
     weight = 1      # n!/k!
@@ -352,8 +352,14 @@ def _gregory_newton_poly(row: tuple) -> Polynomial:
         weight *= k + 1
         acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
         acc[0] += row[k] * weight
-    den = math.factorial(n)
-    return Polynomial([Fraction(a, den) for a in acc])
+    return acc
+
+
+def _gregory_newton_poly(row: tuple) -> Polynomial:
+    """sum_k row[k] C(x,k) as a Polynomial, for a report: the sum of
+    :func:`_newton_sum` with each coefficient divided by n! once."""
+    den = math.factorial(len(row) - 1)
+    return Polynomial([Fraction(a, den) for a in _newton_sum(row)])
 
 
 def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Cases]:
@@ -375,18 +381,35 @@ def _cases_gregory_newton(ns: range, rng: random.Random) -> Iterator[Cases]:
 
 
 def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Cases]:
-    # power_sum_poly(n) is scaled once per n to int coefficients s over their
-    # common denominator den.  Its value A / (den q^(len(s)-1)) at x = p/q, with
-    # A = _fold(s, p, q) (s_0 at x = 0), is compared with power_sum_gn in ints.
+    # S_n(x) = sum_k SF(n,k) C(x,k+1) is the Newton sum of (0,) + SF row n,
+    # so (n+1)! S_n is an int polynomial of degree n + 1.  power_sum_poly(n),
+    # scaled to int coefficients s over their common denominator den, equals
+    # it when den divides (n+1)! and s (n+1)!/den is its coefficient list.
+    # The 20 seeded points of each n are drawn either way, but evaluated only
+    # when the lists differ: each is then compared with power_sum_gn in ints
+    # (the value A / (den q^(len(s)-1)) at x = p/q, A = _fold(s, p, q), s_0
+    # at x = 0) up to the first that differs.  If none does, the case after
+    # them compares the two polynomials.
     for n in ns:
-        c = power_sum_poly(n).coefficients
+        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
+        poly = power_sum_poly(n)
+        c = poly.coefficients
         den = math.lcm(*(v.denominator for v in c))
         s = [v.numerator * (den // v.denominator) for v in c]
+        scale, rest = divmod(math.factorial(n + 1), den)
+        if not rest and [v * scale for v in s] == _newton_sum((0,) + sf_row(n)):
+            yield [(poly, poly)]
+            continue
         cases = []
-        for x in [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]:
+        for x in xs:
             p, q = x.numerator, x.denominator
             r, a, b = power_sum_gn(n, x), _fold(s, p, q) if p else s[0], den * q ** (len(s) - 1)
-            cases.append((r if a * r.denominator == r.numerator * b else Fraction(a, b), r))
+            agree = a * r.denominator == r.numerator * b
+            cases.append((r if agree else Fraction(a, b), r))
+            if not agree:
+                break
+        else:
+            cases.append((poly, _gregory_newton_poly((0,) + sf_row(n))))
         yield cases
 
 
@@ -476,7 +499,7 @@ _ALL_CHECKS: Sequence[IdentityCheck] = (
                   False, _one_to, _cases_drv_fh_bn),
     IdentityCheck("gregory-newton", "x^n = sum_k SF(n,k) C(x,k) as polynomials",
                   False, _one_to, _cases_gregory_newton),
-    IdentityCheck("power-sum-agree", "Bernoulli-polynomial and finite-difference power sums agree at random rational points",
+    IdentityCheck("power-sum-agree", "Bernoulli-polynomial and finite-difference power sums agree as polynomials",
                   True, _one_to, _cases_power_sum_agree),
     IdentityCheck("bt-involution", "the binomial transform is an involution on random sequences",
                   True, lambda m: range(1, _BT_CASES + 1), _cases_bt_involution),

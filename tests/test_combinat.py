@@ -216,6 +216,17 @@ def test_bernoulli_poly_defining_relations():
         assert bernoulli_poly(n).degree == n
 
 
+def test_bernoulli_poly_matches_the_fraction_product_form():
+    # Each coefficient is formed as one Fraction over B_(n-k)'s denominator;
+    # the reference multiplies C(n,k) by the Fraction B_(n-k).  Both give the
+    # same reduced values, and the same int where the value is whole.
+    for n in range(131):
+        want = [math.comb(n, k) * bernoulli(n - k) for k in range(n + 1)]
+        got = bernoulli_poly(n).coefficients
+        assert got == Polynomial(want).coefficients, n
+        assert [type(c) for c in got] == [type(c) for c in Polynomial(want).coefficients], n
+
+
 def test_monomial_expansion_in_rising_binomials():
     # x^n = sum_k SF(n,k) C(x,k) as an exact polynomial identity
     binom_polys = [Polynomial.one()]

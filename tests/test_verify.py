@@ -13,7 +13,7 @@ import pytest
 import fubinipoly
 from fubinipoly import combinat, fubini, transforms, verify
 from fubinipoly.cli import main
-from fubinipoly.exactpoly import Polynomial
+from fubinipoly.exactpoly import Polynomial, format_value
 from fubinipoly.verify import (
     CHECK_IDS,
     CHECKS,
@@ -765,17 +765,16 @@ def test_a_check_that_raises_fails_alone_and_the_pass_goes_on(capsys):
 
 # A check with several cases at one index yields them as one list, so a case
 # that raises among them is reported at its own index, not at the next one.
-# Each mutant is made afresh for each run.
-def _power_sum_gn_raising_on_its_third_call_at_5():
-    served, calls = verify.power_sum_gn, []
+# power-sum-agree builds its one case at n = 5 from the Newton sum of SF row
+# 5, which raises there.  Each mutant is made afresh for each run.
+def _newton_sum_raising_at_5():
+    served = verify._newton_sum
 
-    def power_sum_gn(n, x):
-        if n == 5:
-            calls.append(x)
-            if len(calls) == 3:
-                raise ArithmeticError("third point at n = 5")
-        return served(n, x)
-    return power_sum_gn
+    def _newton_sum(row):
+        if row[1:] == combinat.sf_row(5):
+            raise ArithmeticError("Newton sum at n = 5")
+        return served(row)
+    return _newton_sum
 
 
 def _has_nonneg_int_coeffs_raising_on_lambda_4_2():
@@ -789,8 +788,8 @@ def _has_nonneg_int_coeffs_raising_on_lambda_4_2():
 
 
 @pytest.mark.parametrize("owner,name,make_mutant,check_id,witness,lhs", [
-    (verify, "power_sum_gn", _power_sum_gn_raising_on_its_third_call_at_5, "power-sum-agree", 5,
-     "ArithmeticError: third point at n = 5"),
+    (verify, "_newton_sum", _newton_sum_raising_at_5, "power-sum-agree", 5,
+     "ArithmeticError: Newton sum at n = 5"),
     (Polynomial, "has_nonneg_int_coeffs", _has_nonneg_int_coeffs_raising_on_lambda_4_2,
      "lambda-degree-P", 4, "ArithmeticError: lambda(4, 2)"),
 ], ids=["power-sum-agree", "lambda-degree-P"])
@@ -1098,30 +1097,53 @@ def test_remainder_vanishes_cases_match_fraction_term_oracle_on_corrupted_rows(t
     assert any(lhs != 0 for _, lhs, _ in got) == nonzero
 
 
+def _power_sum_points(ns, rng):
+    """The 20 points power-sum-agree draws from ``rng`` at each n of ``ns``,
+    by n: they are drawn whether or not they are evaluated."""
+    return {n: [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)] for n in ns}
+
+
+def _power_sum_agree_expected(points, pairs):
+    """The cases of power-sum-agree as (n, lhs, rhs), where ``pairs(n, x)``
+    is the oracle's pair at a point and the polynomials differ exactly where
+    some drawn point tells them apart: one case (power_sum_poly(n),
+    power_sum_poly(n)) at an n whose points all agree, and otherwise the
+    oracle's pairs at n up to its first failing one."""
+    out = []
+    for n, xs in points.items():
+        cases = []
+        for x in xs:
+            cases.append((n, *pairs(n, x)))
+            if cases[-1][1] != cases[-1][2]:
+                out += cases
+                break
+        else:
+            poly = verify.power_sum_poly(n)
+            out.append((n, poly, poly))
+    return out
+
+
 def test_power_sum_agree_cases_are_the_unscaled_values():
-    def unscaled(ns):
-        rng = random.Random(0)
-        for n in ns:
-            poly = fubini.power_sum_poly(n)
-            xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
-            yield from [(n, poly(x), fubini.power_sum_gn(n, x)) for x in xs]
+    def unscaled(n, x):
+        return fubini.power_sum_poly(n)(x), fubini.power_sum_gn(n, x)
 
     ns = range(1, 41)
-    assert _cases("power-sum-agree", ns) == list(unscaled(ns))
+    assert _cases("power-sum-agree", ns) == _power_sum_agree_expected(
+        _power_sum_points(ns, random.Random(0)), unscaled)
     with _SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1):
         ns = range(1, 9)
-        assert _cases("power-sum-agree", ns) == list(unscaled(ns))
+        got = _cases("power-sum-agree", ns)
+        assert got == _power_sum_agree_expected(_power_sum_points(ns, random.Random(0)), unscaled)
+    assert [n for n, lhs, rhs in got if lhs != rhs] == [4]
 
 
-def _power_sum_agree_cases_by_scaled_fractions(ns, rng):
+def _power_sum_by_scaled_fraction(n, x):
     # The reference for the integer cross-multiplication: the scaled
-    # polynomial evaluated at each point and divided by den as a Fraction.
-    for n in ns:
-        c = fubini.power_sum_poly(n).coefficients
-        den = math.lcm(*(v.denominator for v in c))
-        scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
-        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
-        yield from [(n, Fraction(scaled(x), den), fubini.power_sum_gn(n, x)) for x in xs]
+    # polynomial evaluated at the point and divided by den as a Fraction.
+    c = verify.power_sum_poly(n).coefficients
+    den = math.lcm(*(v.denominator for v in c))
+    scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
+    return Fraction(scaled(x), den), fubini.power_sum_gn(n, x)
 
 
 class _EveryThirdNumeratorZero(random.Random):
@@ -1141,29 +1163,84 @@ class _EveryThirdNumeratorZero(random.Random):
         return value
 
 
-@pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
-@pytest.mark.parametrize("corrupted", [False, True], ids=["true", "B(x)"])
-def test_power_sum_agree_cases_match_the_scaled_fraction_oracle(make_rng, corrupted):
-    # The same verdict at every point, and every failing pair the same, as
-    # Fraction(scaled(x), den) != power_sum_gn(n, x); x = 0 is not folded.
-    ns = range(1, 41)
-    fold, folded = verify._fold, []
+def _recording_fold(folded):
+    fold = verify._fold
 
     def recording_fold(c, p, q):
         folded.append(p)
         return fold(c, p, q)
+    return _patched(verify, "_fold", recording_fold)
 
+
+@pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
+@pytest.mark.parametrize("corrupted", [False, True], ids=["true", "B(x)"])
+def test_power_sum_agree_cases_match_the_scaled_fraction_oracle(make_rng, corrupted):
+    # One agreeing case per n where the polynomials agree, and at the n where
+    # they differ the same pairs as Fraction(scaled(x), den) against
+    # power_sum_gn(n, x) up to the first failing one; x = 0 is not folded.
+    ns = range(1, 41)
+    folded = []
     corruption = (_SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1) if corrupted
                   else nullcontext())
     rng = make_rng(0)
-    with corruption, _patched(verify, "_fold", recording_fold), _a_pass():
+    with corruption, _recording_fold(folded), _a_pass():
         got = _flat(ns, CHECKS["power-sum-agree"].cases(ns, rng))
-        want = list(_power_sum_agree_cases_by_scaled_fractions(ns, make_rng(0)))
-    assert [lhs != rhs for _, lhs, rhs in got] == [lhs != rhs for _, lhs, rhs in want]
+        want = _power_sum_agree_expected(_power_sum_points(ns, make_rng(0)), _power_sum_by_scaled_fraction)
+    assert got == want
     failing = [case for case in got if case[1] != case[2]]
-    assert failing == [case for case in want if case[1] != case[2]]
-    assert bool(failing) == corrupted
-    assert 0 not in folded
+    assert [n for n, _, _ in failing] == ([4] if corrupted else [])
+    at_4 = [case for case in got if case[0] == 4]
+    evaluated = _power_sum_points(ns, make_rng(0))[4][:len(at_4)] if corrupted else []
+    assert folded == [x.numerator for x in evaluated if x]
     if make_rng is _EveryThirdNumeratorZero:
         assert rng.zeros >= 20 * len(ns) // 3
-        assert len(folded) == 20 * len(ns) - rng.zeros
+
+
+# Seed 0 draws these points at n = 24 after 23 * 20 points for n = 1..23.
+# power_sum_poly(24) plus the product of (x - x_i) over them agrees with the
+# Newton route at every drawn point, but it is a different polynomial of
+# degree 25: 20 points cannot tell the two apart.
+def _power_sum_24_plus_drawn_product(make_rng):
+    product = Polynomial.one()
+    for x in _power_sum_points(range(1, 25), make_rng(0))[24]:
+        product = product * Polynomial([-x, 1])
+    served = verify.power_sum_poly
+    return _patched(verify, "power_sum_poly", lambda n: served(n) + product if n == 24 else served(n))
+
+
+def test_power_sum_agree_fails_where_only_the_drawn_points_agree():
+    true_poly = fubini.power_sum_poly(24)
+    with _power_sum_24_plus_drawn_product(random.Random):
+        corrupted = verify.power_sum_poly(24)
+        report = run_check("power-sum-agree", 30)
+    assert corrupted != true_poly
+    assert (report.status, report.witness_n) == ("fail", 24)
+    assert (report.lhs, report.rhs) == (format_value(corrupted), format_value(true_poly))
+
+
+@pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
+def test_power_sum_agree_evaluates_every_drawn_point_that_agrees(make_rng):
+    # At n = 24 all 20 points agree, so all are compared, x = 0 without a
+    # fold, and the two polynomials follow them as the failing case.  The
+    # zeros generator draws other points, whose product is added instead.
+    ns = range(1, 25)
+    folded = []
+    with _power_sum_24_plus_drawn_product(make_rng), _recording_fold(folded), _a_pass():
+        got = _flat(ns, CHECKS["power-sum-agree"].cases(ns, make_rng(0)))
+        xs = _power_sum_points(ns, make_rng(0))[24]
+        want = [(24, *_power_sum_by_scaled_fraction(24, x)) for x in xs]
+        corrupted = verify.power_sum_poly(24)
+    at_24 = [case for case in got if case[0] == 24]
+    assert at_24 == want + [(24, corrupted, fubini.power_sum_poly(24))]
+    assert all(lhs == rhs for _, lhs, rhs in want)
+    assert folded == [x.numerator for x in xs if x]
+    assert 0 in xs      # both generators draw x = 0 at n = 24
+
+
+def test_a_passing_power_sum_agree_evaluates_no_point():
+    calls = []
+    served = verify.power_sum_gn
+    with _patched(verify, "power_sum_gn", lambda n, x: calls.append((n, x)) or served(n, x)):
+        report = run_check("power-sum-agree", 40)
+    assert report.passed
+    assert calls == []
