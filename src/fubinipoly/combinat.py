@@ -27,7 +27,8 @@ class MemoTable:
     row the table holds below it, under this table's own lock, and every row
     stepped is kept; so a row is computed once until it is released, and is
     safe to read from any thread.  ``release(below)`` drops rows
-    1..below - 1, and a later read rebuilds them: a ``verify`` pass that
+    1..below - 1 (keeping the highest of them held if row ``below`` is not),
+    and a later read rebuilds them: a ``verify`` pass that
     serves no lambda row releases the SF rows below n - 1 as it reaches
     index n.  Row 0 is the base and is never dropped.  Rows are whatever
     ``extend`` returns (a tuple of a triangle's row or a single number) and
@@ -64,13 +65,18 @@ class MemoTable:
         return row
 
     def release(self, below: int) -> None:
-        """Drop rows 1..below - 1 until they are read again.  While any
+        """Drop rows 1..below - 1 until they are read again.  If row
+        ``below`` is not held, the highest of them that is stays, so row
+        ``below`` is stepped up from it and not from row 0.  While any
         override block is in force nothing is dropped, so no row is rebuilt
         from a replacement."""
         with self._lock:
-            stop = min(below, len(self._rows))
+            rows = self._rows
+            stop = min(below, len(rows))
+            if below >= len(rows) or rows[below] is None:
+                stop = next((m for m in range(stop - 1, 0, -1) if rows[m] is not None), 1)
             if stop > 1 and not MemoTable._overrides:
-                self._rows[1:stop] = [None] * (stop - 1)
+                rows[1:stop] = [None] * (stop - 1)
 
     @contextmanager
     def override(self, n: int, value) -> Iterator[None]:

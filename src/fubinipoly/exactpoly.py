@@ -90,9 +90,9 @@ def format_value(value) -> str:
 
 def json_value(value):
     """The JSON form of an exact value: an integral scalar as a JSON number,
-    any other scalar as its ``"p/q"`` string, a polynomial (coefficients
-    constant term first) or tuple as a list of converted entries.  Ints,
-    bools and anything else pass through unchanged."""
+    any other scalar as its ``"p/q"`` string, a polynomial as the list of
+    its converted coefficients, constant term first.  Ints, bools and
+    anything else pass through unchanged."""
     # type() tests first: an int, or a polynomial of ints, the common cases,
     # never reach the slow ABC check of isinstance(value, Fraction).
     if type(value) is int:
@@ -102,8 +102,6 @@ def json_value(value):
         if _INT_ONLY.issuperset(map(type, coeffs)):
             return list(coeffs)
         return [json_value(c) for c in coeffs]
-    if isinstance(value, tuple):
-        return [json_value(v) for v in value]
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else format_rational(value)
     return value

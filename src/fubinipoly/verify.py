@@ -64,35 +64,24 @@ class IdentityReport(NamedTuple):
 
 # --- rows shared within a pass -----------------------------------------------
 
-# For the running pass, build -> {n: build(n)}: the one store through which
-# the checks of a pass share rows.  It is set only while a pass runs.
-_pass_rows: ContextVar[Dict[Callable, Dict[int, object]]] = ContextVar("fubinipoly_pass_rows")
+# For the running pass, build -> (n, build(n)): the one row of each kind
+# that the checks of a pass share.  It is set only while a pass runs.
+_pass_rows: ContextVar[Dict[Callable, Tuple[int, object]]] = ContextVar("fubinipoly_pass_rows")
 
 
 def _row(build: Callable[[int], object], n: int):
-    """build(n), built once and kept until the running pass builds another
+    """build(n), built once and held until the running pass builds another
     row of its kind: every check of a pass reads the rows of the index the
-    pass has reached.  A build may read row n - 1 of its own kind (through
-    :func:`_row_before`), so the old row is dropped only once the new one is
-    built.  The store lives only as long as its pass, so a memo-table
-    override made between passes always reaches the rows."""
-    rows = _pass_rows.get().setdefault(build, {})
-    if n not in rows:
-        row = build(n)
-        rows.clear()
-        rows[n] = row
-    return rows[n]
-
-
-def _row_before(build: Callable[[int], object], n: int):
-    """Row n - 1 of ``build``'s kind, for a build that steps row n from it.
-    The rows missing below it are built bottom-up, from the highest row of
-    the kind that the running pass holds below n (or from row 1), so each
-    build finds its row n - 1 held and none recurses more than a row deep."""
-    rows = _pass_rows.get().setdefault(build, {})
-    for m in range(max((k for k in rows if k < n), default=0) + 1, n - 1):
-        _row(build, m)
-    return _row(build, n - 1)
+    pass has reached, and no check's range steps by more than two.  A build
+    may step row n from row n - 1 of its own kind, read through _row, so in
+    a pass that recursion goes at most two deep.  The store lives only as
+    long as its pass, so a memo-table override made between passes always
+    reaches the rows."""
+    rows = _pass_rows.get()
+    held = rows.get(build)
+    if held is None or held[0] != n:
+        held = rows[build] = n, build(n)
+    return held[1]
 
 
 # --- check bodies ----------------------------------------------------------
@@ -105,7 +94,7 @@ def _cases_fs_at_minus_one(ns: range, rng: random.Random) -> Iterator[Cases]:
 
 def _cases_fh_at_minus_one(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield [(_row(_hfubini_row, n)(-1), Fraction((-1) ** n * n))]
+        yield [(_fhat(n)(-1), Fraction((-1) ** n * n))]
 
 
 def _cases_worpitzky_integral(ns: range, rng: random.Random) -> Iterator[Cases]:
@@ -122,18 +111,18 @@ def _cases_fs_central_value(ns: range, rng: random.Random) -> Iterator[Cases]:
 def _cases_thm_main_integral(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         rhs = -Fraction(n, 2) * bernoulli(n - 1)
-        yield [(_row(_hfubini_row, n).definite_integral(-1, 0), rhs)]
+        yield [(_fhat(n).definite_integral(-1, 0), rhs)]
 
 
 def _cases_thm_main_central(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
         rhs = -Fraction(n - 1, 2) * fubini_direct(n - 1)(_MINUS_HALF)
-        yield [(_row(_hfubini_row, n)(_MINUS_HALF), rhs)]
+        yield [(_fhat(n)(_MINUS_HALF), rhs)]
 
 
 def _cases_cor_psi_odd(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield [(psi_from_hfubini(n, _row(_hfubini_row, n))(_MINUS_HALF), Fraction(0))]
+        yield [(psi_from_hfubini(n, _fhat(n))(_MINUS_HALF), Fraction(0))]
 
 
 def _delta_plus(c: tuple, j: int, u: tuple) -> list:
@@ -163,33 +152,27 @@ def _served_lambda_row(n: int) -> tuple:
     return tuple(lambda_poly(n, v) for v in range(1, n + 1))
 
 
-def _harmonic_steps(n: int) -> tuple:
-    """(D_1, ..., D_n) with D_k = k (H_k - H_(k-1)), which is 1 for the true
-    harmonic numbers: row n - 1 as the running pass keeps it, and D_n."""
+def _hfubini_row(n: int) -> Tuple[Polynomial, tuple]:
+    """(Fhat_n, (D_1, ..., D_n)): Fhat_n equal to ``fubini.hfubini_direct(n)``
+    and D_k = k (H_k - H_(k-1)), which is 1 for the true harmonic numbers.
+    Both are stepped from row n - 1 as the running pass holds it, so each
+    row is stepped once.  T(n,k) = SF(n,k) H_k obeys T(n,k) = k (T(n-1,k) +
+    T(n-1,k-1)) + SF(n-1,k-1) D_k by the SF rule alone, for any values the
+    H table holds: one small multiply-add per coefficient and no division."""
     if n == 1:
-        below, d = (), harmonic(1)
+        prev, steps, d_n = Polynomial.zero(), (), harmonic(1)
     else:
-        below, d = _row_before(_harmonic_steps, n), n * (harmonic(n) - harmonic(n - 1))
-    return below + (d.numerator if d.denominator == 1 else d,)
-
-
-def _hfubini_step(prev: Polynomial, n: int, steps: tuple) -> Polynomial:
-    """Fhat_n from ``prev`` = Fhat_(n-1), with ``steps`` = (D_1, ..., D_n)
-    from :func:`_harmonic_steps`.  T(n,k) = SF(n,k) H_k obeys
-    T(n,k) = k (T(n-1,k) + T(n-1,k-1)) + SF(n-1,k-1) D_k by the SF rule
-    alone, for any values the H table holds: one small multiply-add per
-    coefficient and no division."""
+        (prev, steps), d_n = _row(_hfubini_row, n - 1), n * (harmonic(n) - harmonic(n - 1))
+    steps += (d_n.numerator if d_n.denominator == 1 else d_n,)
     t = prev.coefficients
     t += (0,) * (n - len(t))
     return Polynomial([0] + [k * (a + b) + s * d for k, a, b, s, d in
-                             zip(range(1, n + 1), t[1:] + (0,), t, sf_row(n - 1), steps)])
+                             zip(range(1, n + 1), t[1:] + (0,), t, sf_row(n - 1), steps)]), steps
 
 
-def _hfubini_row(n: int) -> Polynomial:
-    """Fhat_n, equal to ``fubini.hfubini_direct(n)``, stepped from row
-    n - 1 as the running pass keeps it, so each row is stepped once."""
-    prev = _row_before(_hfubini_row, n) if n > 1 else Polynomial.zero()
-    return _hfubini_step(prev, n, _row(_harmonic_steps, n))
+def _fhat(n: int) -> Polynomial:
+    """Fhat_n as the running pass holds it."""
+    return _row(_hfubini_row, n)[0]
 
 
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Cases]:
@@ -206,7 +189,7 @@ def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Cases]:
     served = _row(_served_lambda_row, ns.start - 1) if ns.start > 1 else ()
     q, k = (), 0                                            # Q_k
     for n in ns:
-        fhat = _row(_hfubini_row, n)
+        fhat = _fhat(n)
         c = [()] + [lam.coefficients for lam in served] + [()]  # row n - 1, () outside it
         served = _row(_served_lambda_row, n)
         for nu, lam in enumerate(served, 1):
@@ -334,7 +317,7 @@ def _cases_remainder_vanishes(ns: range, rng: random.Random) -> Iterator[Cases]:
 
 def _cases_drv_fh_bn(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        fhat = _row(_hfubini_row, n)
+        fhat = _fhat(n)
         total = worpitzky_sum(fhat.coefficients[1:])
         yield [(total, -Fraction(n, 2) * bernoulli(n - 1))]
 
@@ -386,10 +369,8 @@ def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Cases]:
     # scaled to int coefficients s over their common denominator den, equals
     # it when den divides (n+1)! and s (n+1)!/den is its coefficient list.
     # The 20 seeded points of each n are drawn either way, but evaluated only
-    # when the lists differ: each is then compared with power_sum_gn in ints
-    # (the value A / (den q^(len(s)-1)) at x = p/q, A = _fold(s, p, q), s_0
-    # at x = 0) up to the first that differs.  If none does, the case after
-    # them compares the two polynomials.
+    # when the lists differ: each then compares power_sum_poly(n)(x) with
+    # power_sum_gn(n, x), and the case after them compares the two polynomials.
     for n in ns:
         xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)]
         poly = power_sum_poly(n)
@@ -399,18 +380,9 @@ def _cases_power_sum_agree(ns: range, rng: random.Random) -> Iterator[Cases]:
         scale, rest = divmod(math.factorial(n + 1), den)
         if not rest and [v * scale for v in s] == _newton_sum((0,) + sf_row(n)):
             yield [(poly, poly)]
-            continue
-        cases = []
-        for x in xs:
-            p, q = x.numerator, x.denominator
-            r, a, b = power_sum_gn(n, x), _fold(s, p, q) if p else s[0], den * q ** (len(s) - 1)
-            agree = a * r.denominator == r.numerator * b
-            cases.append((r if agree else Fraction(a, b), r))
-            if not agree:
-                break
         else:
-            cases.append((poly, _gregory_newton_poly((0,) + sf_row(n))))
-        yield cases
+            yield ([(poly(x), power_sum_gn(n, x)) for x in xs]
+                   + [(poly, _gregory_newton_poly((0,) + sf_row(n)))])
 
 
 _BT_CASES = 100
@@ -451,7 +423,7 @@ def _cases_euler_hadamard(ns: range, rng: random.Random) -> Iterator[Cases]:
 
 def _cases_fh_derivative_form(ns: range, rng: random.Random) -> Iterator[Cases]:
     for n in ns:
-        yield [(hfubini_via_derivatives(n), _row(_hfubini_row, n))]
+        yield [(hfubini_via_derivatives(n), _fhat(n))]
 
 
 def _cases_fubini_numbers(ns: range, rng: random.Random) -> Iterator[Cases]:
@@ -565,10 +537,12 @@ def _run_pass(ids: Sequence[str], max_n: int, seed: int) -> List[IdentityReport]
     on.  The rows the checks share (:func:`_row`) are built once for the
     pass and dropped with it.  A pass that serves no lambda row reads no SF
     row more than one below the index it has reached, so after the pulls
-    at index n it releases the SF rows below n - 1; served lambda rows read
-    every SF row, so a pass that serves them releases none.  A row read
-    after all is rebuilt, so the rule costs time if wrong, never a result."""
-    rows: Dict[Callable, Dict[int, object]] = {}
+    at index n it releases the SF rows below n - 1 (keeping the highest of
+    them held if row n - 1 is not, as in a pass of thm-main-central alone
+    at odd n); served lambda rows read every SF row, so a pass that serves
+    them releases none.  A row read after all is rebuilt, so the rule
+    costs time if wrong, never a result."""
+    rows: Dict[Callable, Tuple[int, object]] = {}
     token = _pass_rows.set(rows)
     try:
         scans = [_Scan(CHECKS[check_id], max_n, seed) for check_id in ids]

@@ -265,10 +265,12 @@ def test_memo_table_rebuilds_a_released_row_from_the_nearest_row_below():
     assert table._rows == [0, None, None, None, None, 15, 21]
     assert table[3] == 6
     assert table._rows == [0, 1, 3, 6, None, 15, 21]
-    table.release(99)                   # past the end: every row but the base
-    assert table._rows == [0] + [None] * 6
-    assert table[8] == 36               # stepped up from row 0, past the end
-    assert None not in table._rows
+    table.release(4)                    # row 4 is not held: row 3 stays to step it from
+    assert table._rows == [0, None, None, 6, None, 15, 21]
+    table.release(99)                   # past the end: every row but the base and the top
+    assert table._rows == [0] + [None] * 5 + [21]
+    assert table[8] == 36               # stepped up from row 6, past the end
+    assert table._rows == [0] + [None] * 5 + [21, 28, 36]
 
 
 def test_memo_table_releases_nothing_inside_an_override_block():
@@ -352,8 +354,8 @@ def test_reads_racing_a_release_never_see_a_missing_or_wrong_row():
 
 class _ReleaseOnUnlock:
     """A table lock that, when a read unlocks it, lets a release of every
-    row run before the read goes on: the worst interleaving for a read that
-    has just built its row."""
+    row below the top run before the read goes on: the worst interleaving
+    for a read that has just built its row."""
 
     def __init__(self, table):
         self.lock = threading.Lock()
@@ -367,11 +369,13 @@ class _ReleaseOnUnlock:
         self.lock.release()
         if self.armed:
             self.armed = False
-            self.table.release(99)
+            self.table.release(len(self.table._rows) - 1)
 
 
 def test_a_read_returns_the_row_it_built_though_a_release_lands_at_once():
     table = MemoTable([0], lambda prev, n: prev + n)
+    table[6]
+    table.release(6)
     table._lock = _ReleaseOnUnlock(table)
     assert table[5] == 15
-    assert table._rows == [0] + [None] * 5
+    assert table._rows == [0] + [None] * 5 + [21]

@@ -37,7 +37,6 @@ def test_format_and_json_of_exact_values():
     assert format_value((2, (True, poly), "sum")) == "(2, (true, [1/2, 0, 3]), sum)"
     assert format_value(Fraction(4, 2)) == "2"
     assert json_value(poly) == ["1/2", 0, 3]
-    assert json_value((Fraction(6, 3), False)) == [2, False]
     assert json_value(Fraction(-1, 3)) == "-1/3"
 
 

@@ -245,45 +245,45 @@ def test_an_override_between_passes_reaches_the_shared_rows():
     assert all(r.passed for r in run_suite(12, _ROW_READERS))
 
 
-# Fhat_n and (D_1, ..., D_n) are stepped from row n - 1, so a pass in which
-# a check that steps by 2 (thm-main-central) comes before one that steps by 1
-# (fh-at-minus-one) must still step each row once, holding one row per kind.
+# Fhat_n, with its harmonic steps (D_1, ..., D_n), is stepped from row n - 1,
+# so a pass in which a check that steps by 2 (thm-main-central) comes before
+# one that steps by 1 (fh-at-minus-one) must still step each row once,
+# holding one (n, row) pair per kind at an index the pass has reached.
 def test_a_pass_builds_each_row_once_and_keeps_at_most_its_cap(monkeypatch):
-    built = {"_hfubini_row": [], "_served_lambda_row": [], "_hfubini_step": [], "_harmonic_steps": []}
+    built = {"_hfubini_row": [], "_served_lambda_row": []}
     direct = []
-    sizes = []
+    held = []
 
-    def counted(name, at):
+    def counted(name):
         build = getattr(verify, name)
 
-        def count(*args):
-            built[name].append(args[at])      # the row's n
-            return build(*args)
+        def count(n):
+            built[name].append(n)
+            return build(n)
         return count
 
     def watched(cases):
         def pull_and_watch(ns, rng):
-            for case in cases(ns, rng):
-                sizes.append([len(rows) for rows in verify._pass_rows.get().values()])
+            for n, case in zip(ns, cases(ns, rng)):
+                held.extend((n, at) for at, _ in verify._pass_rows.get().values())
                 yield case
         return pull_and_watch
 
-    for name, at in (("_hfubini_row", 0), ("_served_lambda_row", 0), ("_hfubini_step", 1),
-                     ("_harmonic_steps", 0)):
-        monkeypatch.setattr(verify, name, counted(name, at))
+    for name in built:
+        monkeypatch.setattr(verify, name, counted(name))
     monkeypatch.setattr(fubini, "hfubini_direct", direct.append)
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, check._replace(cases=watched(check.cases)))
     for selection, kinds in (("all", set(built)),
-                             (["thm-main-central", "fh-at-minus-one"],
-                              {"_hfubini_row", "_hfubini_step", "_harmonic_steps"})):
+                             (["thm-main-central", "fh-at-minus-one"], {"_hfubini_row"})):
         for ns in built.values():
             ns.clear()
-        sizes.clear()
+        held.clear()
         assert all(r.passed for r in run_suite(60, selection))
         assert {name: sorted(ns) for name, ns in built.items()} == {
             name: list(range(1, 61)) if name in kinds else [] for name in built}, selection
-        assert max(max(s, default=0) for s in sizes) == 1
+        # The random checks scan 1..200 whatever max_n is.
+        assert held and all(min(n, 60) - 2 <= at <= n for n, at in held)
     assert direct == []
 
 
@@ -293,7 +293,7 @@ def _same_rows(got, want):
 
 def _rolled_rows_of_a_pass(max_n):
     with _a_pass():
-        return [verify._row(verify._hfubini_row, n) for n in range(1, max_n + 1)]
+        return [verify._fhat(n) for n in range(1, max_n + 1)]
 
 
 def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
@@ -307,12 +307,27 @@ def test_the_rolled_fhat_rows_equal_the_direct_sum_in_value_and_type():
         assert any(type(row.coefficient(4)) is Fraction for row in rows)
 
 
-def test_a_fresh_pass_steps_a_high_row_bottom_up_without_recursion():
-    # Rows 1..n-1 are built in a loop, so the depth of the call stack does
-    # not grow with n: 600 and 900 lie past the default recursion limit.
-    with _a_pass():
-        assert _same_rows(verify._row(verify._hfubini_row, 600), fubini.hfubini_direct(600))
-        assert verify._row(verify._harmonic_steps, 900) == (1,) * 900
+def test_a_pass_that_steps_by_two_builds_rows_at_most_two_deep(monkeypatch):
+    # thm-main-central and cor-psi-odd read Fhat_n at every other n, so each
+    # read steps row n from row n - 1, which steps from the held row n - 2.
+    # Rows 1..n - 1 of a pass at 600 nested in one another would pass the
+    # recursion limit.
+    depth, deepest = [0], []
+    build = verify._hfubini_row
+
+    def nested(n):
+        depth[0] += 1
+        deepest[-1] = max(deepest[-1], depth[0])
+        try:
+            return build(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(verify, "_hfubini_row", nested)
+    for check_id in ("thm-main-central", "cor-psi-odd"):
+        deepest.append(0)
+        assert run_suite(600, [check_id])[0].passed, check_id
+    assert deepest == [2, 2]
 
 
 def test_a_pass_pulls_cases_in_index_order_ties_in_selection_order(monkeypatch):
@@ -427,6 +442,17 @@ def test_a_value_pass_keeps_a_window_of_sf_rows_and_rebuilds_the_rest_true():
         row = combinat._sf_row(row, m)
         assert combinat.sf_row(m) == row
     assert run_check("lambda-reflection", 60).passed
+
+
+def test_a_value_pass_that_steps_by_two_builds_each_sf_row_once(monkeypatch):
+    # Alone, thm-main-central has built SF rows only up to n - 2 at odd n;
+    # the pass keeps that row, so row n - 1 is stepped from it, not from 0.
+    combinat.sf_table.release(10 ** 6)      # all but the base and the top
+    built = []
+    extend = combinat.sf_table._extend
+    monkeypatch.setattr(combinat.sf_table, "_extend", lambda row, m: built.append(m) or extend(row, m))
+    assert run_suite(200, ["thm-main-central"])[0].passed
+    assert built and len(built) == len(set(built))
 
 
 def test_a_pass_that_serves_lambda_rows_keeps_every_sf_row():
@@ -1103,23 +1129,30 @@ def _power_sum_points(ns, rng):
     return {n: [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(20)] for n in ns}
 
 
+def _newton_power_sum(n):
+    """sum_k SF(n,k) C(x,k+1) by Polynomial arithmetic, with C(x,k+1) =
+    C(x,k) (x-k)/(k+1): the route power-sum-agree compares power_sum_poly
+    with, built here without the Newton-basis Horner of verify."""
+    total, binom = Polynomial.zero(), Polynomial.one()
+    for k, s in enumerate(combinat.sf_row(n)):
+        binom = binom * Polynomial([Fraction(-k, k + 1), Fraction(1, k + 1)])
+        total = total + binom * s
+    return total
+
+
 def _power_sum_agree_expected(points, pairs):
     """The cases of power-sum-agree as (n, lhs, rhs), where ``pairs(n, x)``
-    is the oracle's pair at a point and the polynomials differ exactly where
-    some drawn point tells them apart: one case (power_sum_poly(n),
-    power_sum_poly(n)) at an n whose points all agree, and otherwise the
-    oracle's pairs at n up to its first failing one."""
+    is the oracle's pair at a point: one case (power_sum_poly(n),
+    power_sum_poly(n)) at an n where it equals the Newton form, and
+    otherwise the oracle's pair at each drawn point of n followed by
+    power_sum_poly(n) against the Newton form."""
     out = []
     for n, xs in points.items():
-        cases = []
-        for x in xs:
-            cases.append((n, *pairs(n, x)))
-            if cases[-1][1] != cases[-1][2]:
-                out += cases
-                break
-        else:
-            poly = verify.power_sum_poly(n)
+        poly, newton = verify.power_sum_poly(n), _newton_power_sum(n)
+        if poly == newton:
             out.append((n, poly, poly))
+        else:
+            out += [(n, *pairs(n, x)) for x in xs] + [(n, poly, newton)]
     return out
 
 
@@ -1134,12 +1167,12 @@ def test_power_sum_agree_cases_are_the_unscaled_values():
         ns = range(1, 9)
         got = _cases("power-sum-agree", ns)
         assert got == _power_sum_agree_expected(_power_sum_points(ns, random.Random(0)), unscaled)
-    assert [n for n, lhs, rhs in got if lhs != rhs] == [4]
+    assert {n for n, lhs, rhs in got if lhs != rhs} == {4}
 
 
 def _power_sum_by_scaled_fraction(n, x):
-    # The reference for the integer cross-multiplication: the scaled
-    # polynomial evaluated at the point and divided by den as a Fraction.
+    # A reference for power_sum_poly(n)(x) by another route: the polynomial
+    # scaled to ints, evaluated at the point and divided by den as a Fraction.
     c = verify.power_sum_poly(n).coefficients
     den = math.lcm(*(v.denominator for v in c))
     scaled = Polynomial([v.numerator * (den // v.denominator) for v in c])
@@ -1163,35 +1196,32 @@ class _EveryThirdNumeratorZero(random.Random):
         return value
 
 
-def _recording_fold(folded):
-    fold = verify._fold
+def _recording_gn(evaluated):
+    served = verify.power_sum_gn
 
-    def recording_fold(c, p, q):
-        folded.append(p)
-        return fold(c, p, q)
-    return _patched(verify, "_fold", recording_fold)
+    def recording_gn(n, x):
+        evaluated.append((n, x))
+        return served(n, x)
+    return _patched(verify, "power_sum_gn", recording_gn)
 
 
 @pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
 @pytest.mark.parametrize("corrupted", [False, True], ids=["true", "B(x)"])
 def test_power_sum_agree_cases_match_the_scaled_fraction_oracle(make_rng, corrupted):
     # One agreeing case per n where the polynomials agree, and at the n where
-    # they differ the same pairs as Fraction(scaled(x), den) against
-    # power_sum_gn(n, x) up to the first failing one; x = 0 is not folded.
+    # they differ Fraction(scaled(x), den) against power_sum_gn(n, x) at each
+    # drawn point, then the two polynomials.  Only that n evaluates points.
     ns = range(1, 41)
-    folded = []
+    evaluated = []
     corruption = (_SERVED_BERNOULLI_POLY.override(5, _SERVED_BERNOULLI_POLY[5] + 1) if corrupted
                   else nullcontext())
     rng = make_rng(0)
-    with corruption, _recording_fold(folded), _a_pass():
+    with corruption, _recording_gn(evaluated), _a_pass():
         got = _flat(ns, CHECKS["power-sum-agree"].cases(ns, rng))
         want = _power_sum_agree_expected(_power_sum_points(ns, make_rng(0)), _power_sum_by_scaled_fraction)
     assert got == want
-    failing = [case for case in got if case[1] != case[2]]
-    assert [n for n, _, _ in failing] == ([4] if corrupted else [])
-    at_4 = [case for case in got if case[0] == 4]
-    evaluated = _power_sum_points(ns, make_rng(0))[4][:len(at_4)] if corrupted else []
-    assert folded == [x.numerator for x in evaluated if x]
+    assert {n for n, lhs, rhs in got if lhs != rhs} == ({4} if corrupted else set())
+    assert evaluated == ([(4, x) for x in _power_sum_points(ns, make_rng(0))[4]] if corrupted else [])
     if make_rng is _EveryThirdNumeratorZero:
         assert rng.zeros >= 20 * len(ns) // 3
 
@@ -1220,12 +1250,12 @@ def test_power_sum_agree_fails_where_only_the_drawn_points_agree():
 
 @pytest.mark.parametrize("make_rng", [random.Random, _EveryThirdNumeratorZero], ids=["seeded", "zeros"])
 def test_power_sum_agree_evaluates_every_drawn_point_that_agrees(make_rng):
-    # At n = 24 all 20 points agree, so all are compared, x = 0 without a
-    # fold, and the two polynomials follow them as the failing case.  The
-    # zeros generator draws other points, whose product is added instead.
+    # At n = 24 all 20 points agree, x = 0 among them, so all are compared,
+    # and the two polynomials follow them as the failing case.  The zeros
+    # generator draws other points, whose product is added instead.
     ns = range(1, 25)
-    folded = []
-    with _power_sum_24_plus_drawn_product(make_rng), _recording_fold(folded), _a_pass():
+    evaluated = []
+    with _power_sum_24_plus_drawn_product(make_rng), _recording_gn(evaluated), _a_pass():
         got = _flat(ns, CHECKS["power-sum-agree"].cases(ns, make_rng(0)))
         xs = _power_sum_points(ns, make_rng(0))[24]
         want = [(24, *_power_sum_by_scaled_fraction(24, x)) for x in xs]
@@ -1233,7 +1263,7 @@ def test_power_sum_agree_evaluates_every_drawn_point_that_agrees(make_rng):
     at_24 = [case for case in got if case[0] == 24]
     assert at_24 == want + [(24, corrupted, fubini.power_sum_poly(24))]
     assert all(lhs == rhs for _, lhs, rhs in want)
-    assert folded == [x.numerator for x in xs if x]
+    assert evaluated == [(24, x) for x in xs]
     assert 0 in xs      # both generators draw x = 0 at n = 24
 
 
