@@ -112,11 +112,6 @@ def _sf_row(prev: tuple, n: int) -> tuple:
     return tuple([k * (c + c_below) for k, (c, c_below) in enumerate(zip(prev + (0,), (0,) + prev))])
 
 
-def _x_plus_one_times(row: tuple, k: int = 1) -> list:
-    """The coefficients of k (x+1) f, for ``row`` those of f, constant term first."""
-    return [k * (c + c_below) for c, c_below in zip(row + (0,), (0,) + row)]
-
-
 def worpitzky_sum(terms: Sequence[Rational]) -> Fraction:
     """The alternating sum sum_{v=1..n} (-1)^v x_v / (v+1) of
     ``terms = (x_1, ..., x_n)``, as one Fraction.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinat import _x_plus_one_times, bernoulli, bernoulli_poly, harmonic, sf_row
+from .combinat import bernoulli, bernoulli_poly, harmonic, sf_row
 from .exactpoly import Polynomial, Rational, exact, index
 
 _X = Polynomial.x()
@@ -76,7 +76,8 @@ def lambda_poly(n: int, nu: int) -> Polynomial:
         return Polynomial.one()
     if nu == n - 1:
         return Polynomial.monomial(n - 1, 1)
-    return Polynomial(_x_plus_one_times(sf_row(n - 1 - nu), math.comb(n - 1, nu - 1)))
+    k, row = math.comb(n - 1, nu - 1), sf_row(n - 1 - nu)
+    return Polynomial([k * (c + c_below) for c, c_below in zip(row + (0,), (0,) + row)])
 
 
 def psi_poly(n: int) -> Polynomial:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .combinat import (_ordered_partition_count, _x_plus_one_times, bernoulli, harmonic, sf_row,
-                       sf_table, worpitzky_sum)
+from .combinat import _ordered_partition_count, bernoulli, harmonic, sf_row, sf_table, worpitzky_sum
 from .exactpoly import Polynomial, _fold, format_value, index
 from .fubini import fubini_direct, lambda_poly, power_sum_gn, power_sum_poly, psi_from_hfubini
 from .transforms import binomial_transform, euler_hadamard, hadamard, hfubini_via_derivatives
@@ -73,10 +72,11 @@ def _row(build: Callable[[int], object], n: int):
     """build(n), built once and held until the running pass builds another
     row of its kind: every check of a pass reads the rows of the index the
     pass has reached, and no check's range steps by more than two.  A build
-    may step row n from row n - 1 of its own kind, read through _row, so in
-    a pass that recursion goes at most two deep.  The store lives only as
-    long as its pass, so a memo-table override made between passes always
-    reaches the rows."""
+    may step row n from row n - 1 of its own kind, read through _row: the
+    first read of a kind in a pass recurses down to row 1, at most three
+    deep as no range starts above 3, and every later read steps once from
+    the held row.  The store lives only as long as its pass, so a
+    memo-table override made between passes always reaches the rows."""
     rows = _pass_rows.get()
     held = rows.get(build)
     if held is None or held[0] != n:
@@ -152,6 +152,25 @@ def _served_lambda_row(n: int) -> tuple:
     return tuple(lambda_poly(n, v) for v in range(1, n + 1))
 
 
+def _lambda_recurrence(n: int) -> Tuple[tuple, Optional[tuple]]:
+    """(served row n, miss): the row :func:`_served_lambda_row` holds, and
+    for the first entry of rows 1..n that differs from the recurrence the
+    report pair ((nu, served), (nu, recurrence)), or None.  Row n is stepped
+    by :func:`_lambda_entry` from served row n - 1, which has matched
+    already: by induction, the first served entry that differs is the first
+    that differs from the recurrence rolled from lambda(1, 1) = 1.  After a
+    miss no row is compared again."""
+    prev, miss = _row(_lambda_recurrence, n - 1) if n > 1 else ((), None)
+    served = _row(_served_lambda_row, n)
+    if miss is None:
+        c = [()] + [lam.coefficients for lam in prev] + [()]    # row n - 1, () outside it
+        for nu, lam in enumerate(served, 1):
+            want = (1,) if n == 1 else _lambda_entry(n, nu, c[nu], c[nu - 1])
+            if lam.coefficients != want:
+                return served, ((nu, lam), (nu, Polynomial(want)))
+    return served, miss
+
+
 def _hfubini_row(n: int) -> Tuple[Polynomial, tuple]:
     """(Fhat_n, (D_1, ..., D_n)): Fhat_n equal to ``fubini.hfubini_direct(n)``
     and D_k = k (H_k - H_(k-1)), which is 1 for the true harmonic numbers.
@@ -176,27 +195,21 @@ def _fhat(n: int) -> Polynomial:
 
 
 def _cases_lambda_expansion(ns: range, rng: random.Random) -> Iterator[Cases]:
-    # Row n as lambda_poly serves it is compared entry by entry with the
-    # recurrence stepped from served row n - 1, which has matched already: by
-    # induction, the first served entry that differs is the first that differs
-    # from the recurrence rolled from lambda(1, 1) = 1.  It is reported as
-    # (nu, served) against (nu, recurrence).  Once they match, the expansion is
-    # proved by the Leibniz rule: F_(k+1) = (delta + x) F_k from F_0 = 1, so
+    # The first served entry that differs from the recurrence is reported as
+    # (nu, served) against (nu, recurrence) (:func:`_lambda_recurrence`).
+    # Once every row matches, the expansion is proved by the Leibniz rule:
+    # F_(k+1) = (delta + x) F_k from F_0 = 1, so
     # Q_m = sum_(j<m) C(m,j) F_(j+1) F_(m-1-j) steps as Q_0 = 0,
     # Q_(m+1) = (delta + 2x) Q_m + F_(m+1), and by the closed form of lambda
     # Fhat_n = F_n - (n-1) F_(n-1) + (x+1) Q_(n-1).  Both run on int
     # coefficients; a Polynomial is built only for a report.
-    served = _row(_served_lambda_row, ns.start - 1) if ns.start > 1 else ()
     q, k = (), 0                                            # Q_k
     for n in ns:
+        miss = _row(_lambda_recurrence, n)[1]
+        if miss:
+            yield [miss]
+            return
         fhat = _fhat(n)
-        c = [()] + [lam.coefficients for lam in served] + [()]  # row n - 1, () outside it
-        served = _row(_served_lambda_row, n)
-        for nu, lam in enumerate(served, 1):
-            want = (1,) if n == 1 else _lambda_entry(n, nu, c[nu], c[nu - 1])
-            if lam.coefficients != want:
-                yield [((nu, lam), (nu, Polynomial(want)))]
-                return
         while k < n - 1:
             k += 1
             q = tuple(_delta_plus(q, 2, sf_row(k)))
@@ -226,26 +239,22 @@ def _cases_lambda_top(ns: range, rng: random.Random) -> Iterator[Cases]:
 
 
 def _cases_lambda_reflection(ns: range, rng: random.Random) -> Iterator[Cases]:
-    # lambda(n, nu) = C(n-1, nu-1) P_a for nu <= n-2, with P_a = (x+1) F_a and
-    # a = n-1-nu.  A positive integer multiple of a member of the class is a
-    # member: the factor keeps each coefficient a nonnegative integer and
-    # scales both reflection parts, so B = 0, or 2A = B, still holds.  So P_a,
-    # built from SF row a, is split once per a, and a served entry equal to
-    # C(n-1, nu-1) P_a for a proven P_a is a member.  Any other entry, such as
-    # a corrupted one, is split in full.  Only the verdicts on P_a are kept.
-    proven: Dict[int, bool] = {}
+    # In every row of the recurrence, lambda(n, nu) = C(n-1, nu-1)
+    # lambda(a+2, 1) for nu <= n-2, a = n-1-nu: Pascal's rule, as
+    # lambda(m, 1) = delta lambda(m-1, 1).  A positive integer multiple of a
+    # member of the class is a member: the factor keeps each coefficient a
+    # nonnegative integer and scales both reflection parts, so B = 0, or
+    # 2A = B, still holds.  So while the served rows match the recurrence
+    # (no miss), only lambda(n, 1) is split at each n: any other entry is a
+    # multiple of a lambda(a+2, 1) that this scan split at an earlier index,
+    # provided that index is in the scan, and that passed, as a failed split
+    # ends the scan.  Every other entry, such as a corrupted one, is split in
+    # full.
     for n in ns:
-        cases = []
-        for v, lam in enumerate(_row(_served_lambda_row, n)[:n - 2], 1):
-            a = n - 1 - v
-            f = sf_row(a)
-            if a not in proven:
-                proven[a] = Polynomial(_x_plus_one_times(f)).in_reflection_class(_MINUS_HALF)
-            k = math.comb(n - 1, v - 1)
-            member = ((proven[a] and list(lam.coefficients) == _x_plus_one_times(f, k))
-                      or lam.in_reflection_class(_MINUS_HALF))
-            cases.append(((v, member), (v, True)))
-        yield cases
+        row, miss = _row(_lambda_recurrence, n)
+        yield [((v, (miss is None and 1 < v <= n + 1 - ns.start)
+                 or lam.in_reflection_class(_MINUS_HALF)), (v, True))
+               for v, lam in enumerate(row[:n - 2], 1)]
 
 
 _CLOSURE_CASES = 200

@@ -565,9 +565,9 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # lambda(1,1) + 1 at 1 and lambda(2,1) + x at 2.  lambda-top rolls only the
 # top two entries of the recurrence forward, so it sees lambda(6,5) + 1
 # there.
-# SF row a enters lambda-reflection first at n = a + 2, as lambda(a+2, 1) =
-# (x+1) F_a: with row 5 corrupted, P_5 fails its one split, and so does the
-# served entry, built from the same row.
+# SF row a enters lambda-reflection first at n = a + 2, as the served
+# lambda(a+2, 1) = (x+1) F_a: with row 5 corrupted, that entry misses the
+# recurrence, so it is split in full and fails.
 # A pass steps Fhat_n from SF row n - 1, so fh-at-minus-one,
 # thm-main-integral and drv-fh-bn, which read SF row n only through Fhat_n,
 # see a corrupted SF row m at m + 1.  fh-derivative-form reads SF row n on
@@ -969,12 +969,18 @@ def _counted_reflection_tests():
 
 
 def test_lambda_reflection_splits_each_p_a_once_on_clean_data():
-    # One split of P_a = (x+1) F_a for each a = n-1-nu in 1..38; every served
-    # entry then matches C(n-1, nu-1) P_a and needs no split of its own.
+    # One split of lambda(n, 1) = (x+1) F_(n-2) for each n in 3..40; every
+    # served row then matches the recurrence, so each other entry is a
+    # multiple C(n-1, nu-1) lambda(n+1-nu, 1) of one split before it.
     assert run_check("lambda-reflection", 40).passed
     with _counted_reflection_tests() as calls:
         assert run_check("lambda-reflection", 40).passed
     assert len(calls) == 38
+    # A scan from 7 has split no lambda(m, 1) with m < 7, so in each row it
+    # also splits the four entries nu = n-5..n-2 that are multiples of one.
+    with _counted_reflection_tests() as calls:
+        _cases("lambda-reflection", range(7, 41))
+    assert len(calls) == (1 + 4) * 34
 
 
 @pytest.mark.parametrize("table,index,corrupt", [
@@ -985,27 +991,51 @@ def test_lambda_reflection_splits_each_p_a_once_on_clean_data():
     (_SERVED_LAMBDA, 6, _lambda_6_2_plus_symmetric),
 ], ids=["clean", "SF", "lambda-plus-x", "lambda-doubled", "lambda-plus-symmetric"])
 def test_lambda_reflection_verdicts_match_a_full_split(table, index, corrupt):
+    # Also from 7: a scan takes an entry as a multiple only of a
+    # lambda(m, 1) it has split itself.
     run_check("lambda-reflection", 40)      # grows the SF rows before any override
-    with table.override(index, corrupt(table[index])) if table else nullcontext():
-        cases = _cases("lambda-reflection", range(3, 41))
-        want = [(n, (v, lam.in_reflection_class(Fraction(-1, 2))), (v, True))
-                for n in range(3, 41) for v, lam in enumerate(_SERVED_LAMBDA[n][:n - 2], 1)]
-    assert cases == want
+    for start in (3, 7):
+        with table.override(index, corrupt(table[index])) if table else nullcontext():
+            cases = _cases("lambda-reflection", range(start, 41))
+            want = [(n, (v, lam.in_reflection_class(Fraction(-1, 2))), (v, True))
+                    for n in range(start, 41) for v, lam in enumerate(_SERVED_LAMBDA[n][:n - 2], 1)]
+        assert cases == want, start
 
 
 def test_an_in_class_substitute_is_split_and_passes_the_reflection_test():
-    # 2 lambda(6,2) is in the class but misses the scaled comparison with
-    # C(5,1) P_3, so it is split in full: one split more than on clean data.
-    # Only lambda-expansion's comparison with the recurrence sees it.
+    # 2 lambda(6,2) is in the class but misses the recurrence, so from row 6
+    # on every entry is split in full: one split for each of rows 3..5, then
+    # the n - 2 entries of each of rows 6..12.  Only lambda-expansion's
+    # report shows the miss.
     assert run_check("lambda-reflection", 12).passed
     with _SERVED_LAMBDA.override(6, _lambda_6_2_doubled(_SERVED_LAMBDA[6])):
         with _counted_reflection_tests() as calls:
             reflection = run_check("lambda-reflection", 12)
         expansion = run_check("lambda-expansion", 12)
     assert reflection.passed
-    assert len(calls) == 10 + 1
+    assert len(calls) == 3 + sum(n - 2 for n in range(6, 13))
     assert (expansion.status, expansion.witness_n, expansion.lhs, expansion.rhs) \
         == ("fail", 6, "(2, [0, 10, 70, 120, 60])", "(2, [0, 5, 35, 60, 30])")
+
+
+def _calls_of(module, name, selection, max_n):
+    calls = []
+    original = getattr(module, name)
+    with _patched(module, name, lambda *args: calls.append(args) or original(*args)):
+        assert all(r.passed for r in run_suite(max_n, selection))
+    return len(calls)
+
+
+def test_a_full_pass_steps_each_lambda_entry_once():
+    # Each served entry is compared with the recurrence once, in the pass
+    # row that lambda-expansion and lambda-reflection share; only lambda-top
+    # steps entries of its own.
+    alone = _calls_of(verify, "_lambda_entry", ["lambda-expansion", "lambda-top"], 40)
+    assert alone and _calls_of(verify, "_lambda_entry", "all", 40) == alone
+
+
+def test_lambda_reflection_reads_no_sf_row():
+    assert _calls_of(verify, "sf_row", ["lambda-reflection"], 40) == 0
 
 
 def _gregory_newton_cases_by_fraction_steps(ns):
