@@ -5,7 +5,9 @@ Sign convention: Bernoulli numbers follow the generating function z/(e^z - 1),
 so B_1 = -1/2.  Many references use B_1 = +1/2 instead; every special-value
 identity in this library depends on the minus convention, so it is fixed here
 and cross-checked by two independent algorithms (see :func:`bernoulli` and
-:func:`bernoulli_akiyama_tanigawa`).
+:func:`bernoulli_akiyama_tanigawa`).  :func:`bernoulli` reads the tangent
+numbers of Seidel's boustrophedon and no SF row, so the identities that tie
+an SF row to B_n compare two tables.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ class MemoTable:
     1..below - 1 (keeping the highest of them held if row ``below`` is not),
     and a later read rebuilds them: a ``verify`` pass that
     serves no lambda row releases the SF rows below n - 1 as it reaches
-    index n.  Row 0 is the base and is never dropped.  Rows are whatever
+    index n, and :func:`bernoulli` keeps one row of the zigzag table.
+    Row 0 is the base and is never dropped.  Rows are whatever
     ``extend`` returns (a tuple of a triangle's row or a single number) and
     must not be mutated.  Indices are not validated here; the public
     functions that read a table do that.
@@ -133,15 +136,33 @@ def worpitzky_sum(terms: Sequence[Rational]) -> Fraction:
     return Fraction(whole * den + part, den)
 
 
+def _zigzag_row(prev: tuple, n: int) -> tuple:
+    # Seidel's boustrophedon: row n is the running sums of row n-1 read
+    # backwards, from 0; its last entry is the zigzag number E_n.
+    return tuple(itertools.accumulate(reversed(prev), initial=0))
+
+
 def _bernoulli_value(prev: Fraction, n: int) -> Fraction:
-    # B_n = sum_{v=1..n} SF(n,v) (-1)^v / (v+1), read from the SF table itself
-    return worpitzky_sum(sf_table[n][1:])
+    # B_1 = -1/2 and B_n = 0 for odd n > 1, stated; for n = 2k,
+    # B_n = (-1)^(k-1) n E_(n-1) / (2^n (2^n - 1)), with the tangent number
+    # E_(n-1) read from the zigzag table, which then keeps only that row.
+    # Rows n-2 and n-1 are read and released in turn, so each read steps
+    # one row and no more than two rows are held at once.
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    for m in (n - 2, n - 1):
+        e = zigzag_table[m][-1]
+        zigzag_table.release(m)
+    return Fraction((-1) ** (n // 2 - 1) * n * e, 2 ** n * (2 ** n - 1))
 
 
 stirling2_table = MemoTable([(1,)], _stirling2_row)
 sf_table = MemoTable([(1,)], _sf_row)
 # Index 0 is an internal base, never exposed.
 harmonic_table = MemoTable([Fraction(0)], lambda prev, n: prev + Fraction(1, n))
+zigzag_table = MemoTable([(1,)], _zigzag_row)
 bernoulli_table = MemoTable([Fraction(1)], _bernoulli_value)
 
 
@@ -211,9 +232,12 @@ def binomial_rat(x: Rational, k: int) -> Fraction:
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2.
 
-    Primary route: B_n = sum_{v=1..n} SF(n,v) * (-1)^v / (v+1) for n >= 1
-    (Worpitzky's summation), B_0 = 1.  Values are memoized; the independent
-    Akiyama-Tanigawa route exists purely as a cross-check.
+    Primary route: B_0 = 1, B_1 = -1/2, B_n = 0 for odd n > 1, and
+    B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for the tangent number
+    T_k = E_(2k-1), the last entry of row 2k - 1 of Seidel's boustrophedon
+    (Brent and Harvey, arXiv:1108.0286): integers only, one row stepped from
+    the one before.  Values are memoized; the independent Akiyama-Tanigawa
+    route exists purely as a cross-check.
     """
     return bernoulli_table[index(n, 0)]
 

@@ -55,7 +55,7 @@ def test_criterion_1_full_suite_and_scalar_checks(capsys):
 
 
 def test_criterion_2_bernoulli_cross_validation():
-    with criterion("criterion 2: Worpitzky and Akiyama-Tanigawa Bernoulli routes agree "
+    with criterion("criterion 2: tangent-number and Akiyama-Tanigawa Bernoulli routes agree "
                    "exactly for n <= 120; B_1 = -1/2; odd B_n vanish"):
         for n in range(121):
             assert bernoulli(n) == bernoulli_akiyama_tanigawa(n), n

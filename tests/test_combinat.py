@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -163,8 +165,25 @@ def test_bernoulli_odd_vanish():
 
 
 def test_bernoulli_two_routes_agree():
-    for n in range(0, 61):
-        assert bernoulli(n) == bernoulli_akiyama_tanigawa(n)
+    for n in range(0, 201):
+        value = bernoulli(n)
+        assert type(value) is Fraction, n
+        assert value == bernoulli_akiyama_tanigawa(n), n
+
+
+def test_growing_bernoulli_reads_no_sf_row_and_holds_one_zigzag_row():
+    # A fresh interpreter, so no other test has grown the tables.
+    script = ("from fubinipoly import combinat\n"
+              "combinat.bernoulli(600)\n"
+              "print(len(combinat.sf_table._rows),"
+              " sum(row is not None for row in combinat.zigzag_table._rows[1:]))\n")
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(combinat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": package_parent})
+    assert proc.returncode == 0, proc.stderr
+    sf_rows, zigzag_rows = map(int, proc.stdout.split())
+    assert sf_rows == 1
+    assert zigzag_rows <= 1
 
 
 def _worpitzky_sum_by_fraction_steps(terms):
@@ -178,7 +197,7 @@ def _worpitzky_sum_by_fraction_steps(terms):
 
 def test_bernoulli_matches_fraction_step_worpitzky_oracle():
     assert type(bernoulli(0)) is Fraction
-    for n in range(1, 61):
+    for n in range(1, 201):
         value = bernoulli(n)
         assert type(value) is Fraction, n
         assert value == _worpitzky_sum_by_fraction_steps(sf_row(n)[1:]), n

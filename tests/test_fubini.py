@@ -259,9 +259,9 @@ def test_exact_division_routes_match_fraction_step_oracle(route, reference):
 
 def test_the_integrals_of_the_families_do_not_go_through_worpitzky_sum(monkeypatch):
     # worpitzky-integral and thm-main-integral evaluate the antiderivative at
-    # both ends; drv-fh-bn and the Bernoulli table take the worpitzky_sum
-    # route.  Both routes must stay apart, or those checks compare a value
-    # with itself.
+    # both ends; drv-fh-bn takes the worpitzky_sum route.  Both routes must
+    # stay apart, or drv-fh-bn and thm-main-integral compare a value with
+    # itself.
     def refuse(terms):
         raise AssertionError("definite_integral went through worpitzky_sum")
 

@@ -903,17 +903,29 @@ def test_a_cold_bernoulli_override_is_seen_by_power_sum_agree_and_then_undone():
 
 
 def test_an_override_drops_the_rows_other_tables_grow_from_it():
+    # E_5 = 16 -> 17 gives B_6 = 6 * 17 / (2^6 (2^6 - 1)) = 17/672.
     inside, after, value = _report_in_fresh_interpreter("""
-        row = list(combinat.sf_row(6))
-        row[3] += 1
-        with combinat.sf_table.override(6, tuple(row)):
+        row = combinat.zigzag_table[5]
+        with combinat.zigzag_table.override(5, row[:-1] + (row[-1] + 1,)):
             report("worpitzky-integral")    # B_6 grows from the corrupted row
         report("worpitzky-integral")
         print(json.dumps(str(combinat.bernoulli(6))))
         """)
-    assert inside == ["pass", None, None, None]
+    assert inside == ["fail", 6, "1/42", "17/672"]
     assert after == ["pass", None, None, None]
     assert value == "1/42"
+
+
+def test_a_cold_sf_override_fails_worpitzky_integral():
+    # B_n reads no SF row, so the integral of the corrupted F_6 is compared
+    # with the true B_6: SF(6,3) + 1 adds (-1)^3 / 4 to 1/42.
+    inside, = _report_in_fresh_interpreter("""
+        row = list(combinat.sf_row(6))
+        row[3] += 1
+        with combinat.sf_table.override(6, tuple(row)):
+            report("worpitzky-integral")
+        """)
+    assert inside == ["fail", 6, "-19/84", "1/42"]
 
 
 def test_lambda_expansion_reports_the_served_entry_under_a_corrupted_sf_row():
