@@ -247,14 +247,17 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
 
     Shares no code or tables with :func:`bernoulli`; the in-place
     transformation natively yields the +1/2 convention, so the result is
-    reflected by (-1)^n to match the library's convention.
+    reflected by (-1)^n to match the library's convention.  It is linear
+    with integer weights, so it runs on the starting row 1/(j+1) scaled by
+    den = lcm(1..n+1) to integers, and one Fraction is formed at the end.
     """
     n = index(n, 0)
-    row = [Fraction(1, j + 1) for j in range(n + 1)]
+    den = math.lcm(*range(1, n + 2))
+    row = [den // (j + 1) for j in range(n + 1)]
     for i in range(1, n + 1):
         for j in range(n + 1 - i):
             row[j] = (j + 1) * (row[j] - row[j + 1])
-    return -row[0] if n % 2 else row[0]
+    return Fraction(-row[0] if n % 2 else row[0], den)
 
 
 def bernoulli_poly(n: int) -> Polynomial:

@@ -14,7 +14,7 @@ import random
 import time
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .combinat import _ordered_partition_count, bernoulli, harmonic, sf_row, sf_table, worpitzky_sum
@@ -155,19 +155,36 @@ def _served_lambda_row(n: int) -> tuple:
 def _lambda_recurrence(n: int) -> Tuple[tuple, Optional[tuple]]:
     """(served row n, miss): the row :func:`_served_lambda_row` holds, and
     for the first entry of rows 1..n that differs from the recurrence the
-    report pair ((nu, served), (nu, recurrence)), or None.  Row n is stepped
-    by :func:`_lambda_entry` from served row n - 1, which has matched
-    already: by induction, the first served entry that differs is the first
-    that differs from the recurrence rolled from lambda(1, 1) = 1.  After a
-    miss no row is compared again."""
+    report pair ((nu, served), (nu, recurrence)), or None.  Served row n - 1
+    has matched already, so by induction the first served entry that
+    differs is the first that differs from the recurrence rolled from
+    lambda(1, 1) = 1.  Row 1 is compared with lambda(1, 1) = 1, and
+    lambda(n, 1) with its entry stepped by :func:`_lambda_entry`.  Each
+    entry nu >= 2 is held to Pascal's ratio (nu-1) lambda(n, nu) = (n-1)
+    lambda(n-1, nu-1), which the recurrence's entry satisfies, as
+    (nu-1) C(n-1, nu-1) = (n-1) C(n-2, nu-2) and the top two entries 1 and
+    (n-1) x fit too; it has one solution, so it holds exactly when the
+    served entry is the recurrence's.  The ratio is reduced by the gcd, and
+    the recurrence's entry is stepped only for a report.  After a miss no
+    row is compared again."""
     prev, miss = _row(_lambda_recurrence, n - 1) if n > 1 else ((), None)
     served = _row(_served_lambda_row, n)
     if miss is None:
         c = [()] + [lam.coefficients for lam in prev] + [()]    # row n - 1, () outside it
         for nu, lam in enumerate(served, 1):
-            want = (1,) if n == 1 else _lambda_entry(n, nu, c[nu], c[nu - 1])
-            if lam.coefficients != want:
-                return served, ((nu, lam), (nu, Polynomial(want)))
+            got = lam.coefficients
+            if nu == 1:
+                want = (1,) if n == 1 else _lambda_entry(n, 1, c[1], ())
+                if got == want:
+                    continue
+            else:
+                below, g = c[nu - 1], math.gcd(n - 1, nu - 1)
+                p, q = repeat((nu - 1) // g), repeat((n - 1) // g)
+                if len(got) == len(below) and all(map(operator.eq, map(operator.mul, got, p),
+                                                      map(operator.mul, below, q))):
+                    continue
+                want = _lambda_entry(n, nu, c[nu], below)
+            return served, ((nu, lam), (nu, Polynomial(want)))
     return served, miss
 
 
@@ -342,7 +359,7 @@ def _newton_sum(row: tuple) -> list:
     weight = 1      # n!/k!
     for k in range(n - 1, -1, -1):
         weight *= k + 1
-        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc = list(map(operator.sub, [0] + acc, map(operator.mul, acc + [0], repeat(k))))
         acc[0] += row[k] * weight
     return acc
 

@@ -497,9 +497,11 @@ class _ServedLambdaRows:
 
 class _OracleLambdaRows:
     """The rows of the recurrence, built entry by entry by
-    ``verify._lambda_entry``: lambda-expansion steps each row from the served
-    row before it, and lambda-top rolls the top two entries forward.
-    ``override`` makes that function serve row n."""
+    ``verify._lambda_entry``.  lambda-expansion steps only lambda(n, 1) by
+    it, from the served row before it, and holds each entry nu >= 2 to
+    Pascal's ratio with that row; lambda-top rolls the top two entries
+    forward by it.  ``override`` makes that function serve row n, so it
+    reaches lambda-expansion only at nu = 1, and lambda-top."""
 
     def __getitem__(self, n):
         row = (Polynomial.one(),)
@@ -557,14 +559,17 @@ _DERIVATIVE_SIDE_F = _DerivativeSideFubini()
 # B_6(x) and the B_6 subtracted from it are the same corrupted value.
 # lambda(6,1) + x is read by three checks: the expansion, the reflection test
 # (x is not symmetric about -1/2) and the value at -1/2.  lambda-expansion
-# compares served row 1 with lambda(1,1) = 1 and steps each entry of row
-# n >= 2 by the recurrence from served row n - 1, which has matched already.
-# It reports the first served entry that differs from its stepped entry,
-# (nu, served) against (nu, recurrence), and sees the same corruption of the
-# recurrence's row 6 the same way.  The base of that induction is held by
-# lambda(1,1) + 1 at 1 and lambda(2,1) + x at 2.  lambda-top rolls only the
-# top two entries of the recurrence forward, so it sees lambda(6,5) + 1
-# there.
+# compares served row 1 with lambda(1,1) = 1, and each entry of row n >= 2
+# with served row n - 1, which has matched already: lambda(n,1) with its
+# entry stepped by the recurrence, and each entry nu >= 2 by Pascal's ratio
+# (nu-1) lambda(n,nu) = (n-1) lambda(n-1,nu-1), which only the recurrence's
+# entry satisfies.  It reports the first served entry that differs, (nu,
+# served) against (nu, recurrence), stepping the recurrence's entry for
+# that report alone, so the lambda(6, nu) + 1 rows keep their strings.  A
+# corruption of the recurrence's row 6 reaches it only at nu = 1, which it
+# sees the same way.  The base of that induction is held by lambda(1,1) + 1
+# at 1 and lambda(2,1) + x at 2.  lambda-top rolls only the top two entries
+# of the recurrence forward, so it sees lambda(6,5) + 1 there.
 # SF row a enters lambda-reflection first at n = a + 2, as the served
 # lambda(a+2, 1) = (x+1) F_a: with row 5 corrupted, that entry misses the
 # recurrence, so it is split in full and fails.
@@ -1039,11 +1044,55 @@ def _calls_of(module, name, selection, max_n):
 
 
 def test_a_full_pass_steps_each_lambda_entry_once():
-    # Each served entry is compared with the recurrence once, in the pass
-    # row that lambda-expansion and lambda-reflection share; only lambda-top
-    # steps entries of its own.
+    # Each served entry is compared once, in the pass row that
+    # lambda-expansion and lambda-reflection share; only lambda-top steps
+    # entries of its own.
     alone = _calls_of(verify, "_lambda_entry", ["lambda-expansion", "lambda-top"], 40)
     assert alone and _calls_of(verify, "_lambda_entry", "all", 40) == alone
+
+
+def test_the_lambda_recurrence_row_steps_only_lambda_n_1_on_clean_data():
+    # Every entry nu >= 2 is held to Pascal's ratio with served row n - 1;
+    # the recurrence is stepped for lambda(n, 1) alone, and row 1 is compared
+    # with lambda(1, 1) = 1.
+    calls = []
+    entry = verify._lambda_entry
+    with _patched(verify, "_lambda_entry", lambda n, nu, c, below: calls.append((n, nu)) or entry(n, nu, c, below)):
+        assert run_check("lambda-expansion", 40).passed
+    assert calls == [(n, 1) for n in range(2, 41)]
+
+
+def _miss_by_stepping_every_entry(top):
+    """The reference for the ratio: the first served entry of rows 1..top
+    that differs from its entry of the recurrence, stepped by
+    ``verify._lambda_entry`` from the served row before it, as
+    (n, (nu, served), (nu, recurrence)), or None."""
+    prev = ()
+    for n in range(1, top + 1):
+        row = _SERVED_LAMBDA[n]
+        c = [()] + [lam.coefficients for lam in prev] + [()]
+        for nu, lam in enumerate(row, 1):
+            want = (1,) if n == 1 else verify._lambda_entry(n, nu, c[nu], c[nu - 1])
+            if lam.coefficients != want:
+                return n, (nu, lam), (nu, Polynomial(want))
+        prev = row
+    return None
+
+
+def test_the_ratio_misses_where_stepping_every_entry_misses():
+    # Every corruption lambda(n, nu) + x^k that keeps the degree or raises
+    # it by one, for n <= 10.
+    for n in range(1, 11):
+        for nu in range(1, n + 1):
+            row = _SERVED_LAMBDA[n]
+            for k in range(n - nu + 2):
+                corrupted = row[:nu - 1] + (row[nu - 1] + Polynomial.monomial(1, k),) + row[nu:]
+                with _SERVED_LAMBDA.override(n, corrupted):
+                    want = _miss_by_stepping_every_entry(10)
+                    got = _cases("lambda-expansion", range(1, 11))[-1]
+                assert want[:2] == (n, (nu, corrupted[nu - 1])), (n, nu, k)
+                assert got == want, (n, nu, k)
+                assert [format_value(side) for side in got[1:]] == [format_value(side) for side in want[1:]]
 
 
 def test_lambda_reflection_reads_no_sf_row():
